@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Build the concurrency suite under ThreadSanitizer and run the
-# `tsan`-labelled tests (thread pool, library stress, plan service, C API).
+# `tsan`-labelled tests (thread pool and its stress suite, library stress,
+# plan service, C API, the simmpi board and executors).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,5 +10,6 @@ cmake --build build-tsan -j "$(nproc)" --target \
   test_thread_pool test_library_stress test_plan_service test_capi \
   test_compiled_predict \
   test_collective_simmpi test_fault_plan test_resilience test_rma \
-  test_runtime_scaling test_nonblocking test_netsim_parity
+  test_runtime_scaling test_nonblocking test_netsim_parity \
+  test_thread_pool_stress
 ctest --test-dir build-tsan -L tsan --output-on-failure

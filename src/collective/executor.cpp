@@ -110,8 +110,7 @@ void CollectiveExecutor::begin_stage(EpisodeHandle& handle,
   }
   handle.stage_ = stage;
   const StageOps& ops = ops_[handle.ctx_->rank()][stage];
-  const int tag =
-      handle.episode_ * static_cast<int>(stages_) + static_cast<int>(stage);
+  const int tag = simmpi::episode_tag(handle.episode_, stages_, stage);
   handle.requests_.clear();
   handle.requests_.reserve(ops.sends.size() + ops.recvs.size());
   // Copy every outgoing sub-range first: the stage's sends read the
@@ -202,8 +201,7 @@ void CollectiveExecutor::begin_stage_resilient(ResilientEpisodeHandle& handle,
     return;
   }
   const StageOps& ops = ops_[handle.ctx_->rank()][stage];
-  const int tag =
-      handle.episode_ * static_cast<int>(stages_) + static_cast<int>(stage);
+  const int tag = simmpi::episode_tag(handle.episode_, stages_, stage);
   // Snapshot rule: outgoing words are read before anything of this
   // stage lands, and the buffer is untouched until the stage
   // completes — so every resend re-reads identical words.
@@ -309,8 +307,8 @@ void CollectiveExecutor::progress_resilient(ResilientEpisodeHandle& handle,
         return;
       }
       const StageOps& ops = ops_[handle.ctx_->rank()][handle.stage_];
-      const int tag = handle.episode_ * static_cast<int>(stages_) +
-                      static_cast<int>(handle.stage_);
+      const int tag =
+          simmpi::episode_tag(handle.episode_, stages_, handle.stage_);
       for (std::size_t k = 0; k < handle.sends_.size(); ++k) {
         if (!handle.sends_[k].done) {
           handle.sends_[k].attempts.push_back(handle.ctx_->issend(

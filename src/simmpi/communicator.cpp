@@ -1,11 +1,49 @@
 #include "simmpi/communicator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include "util/error.hpp"
 
 namespace optibar::simmpi {
+
+namespace {
+
+/// Position of the oldest entry of `ops` with `tag`, or ops.size().
+template <typename Op>
+std::size_t find_tag(const std::vector<Op>& ops, int tag) {
+  std::size_t i = 0;
+  while (i < ops.size() && ops[i].tag != tag) {
+    ++i;
+  }
+  return i;
+}
+
+/// Remove and return ops[i], keeping the others in posting order.
+template <typename Op>
+Op take(std::vector<Op>& ops, std::size_t i) {
+  Op op = std::move(ops[i]);
+  ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
+  return op;
+}
+
+}  // namespace
+
+int episode_tag(int episode, std::size_t stages, std::size_t stage) {
+  constexpr std::int64_t kMin = std::numeric_limits<int>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  OPTIBAR_REQUIRE(stage < stages && stages <= static_cast<std::size_t>(kMax),
+                  "stage " << stage << " of a " << stages << "-stage plan");
+  const auto width = static_cast<std::int64_t>(stages);
+  const std::int64_t first = std::int64_t{episode} * width;
+  OPTIBAR_REQUIRE(first >= kMin && first + width - 1 <= kMax,
+                  "episode " << episode << " overflows the tag space of a "
+                             << stages << "-stage plan (episodes "
+                             << kMin / width << ".."
+                             << (kMax - width + 1) / width << " fit)");
+  return static_cast<int>(first + static_cast<std::int64_t>(stage));
+}
 
 Communicator::Communicator(std::size_t size, LatencyModel latency,
                            ByteLatencyModel byte_latency, BoardMode board)
@@ -19,6 +57,7 @@ Communicator::Communicator(std::size_t size, LatencyModel latency,
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->links.resize(size_ * size_ / shard_count);
   }
   rma_words_.resize(size_);
 }
@@ -54,6 +93,15 @@ std::size_t Communicator::dropped_messages() const {
   return n;
 }
 
+std::size_t Communicator::duplicated_messages() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    n += shard->duplicated;
+  }
+  return n;
+}
+
 void Communicator::notify_shard(std::size_t shard_index) const {
   Shard& shard = *shards_[shard_index];
   // Lock-release fence: a batched waiter that saw the request as
@@ -68,19 +116,19 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag) {
   return issend(src, dst, tag, Payload{});
 }
 
-bool Communicator::post_send(Channel& channel, PendingOp op, std::size_t src,
+bool Communicator::post_send(Link& link, PendingOp op, std::size_t src,
                              std::size_t dst) {
   const Clock::time_point delivered =
       op.posted_at + delivery_delay(src, dst, op.payload.size()) +
       op.fault_delay;
-  if (!channel.recvs.empty()) {
+  const std::size_t waiting = find_tag(link.recvs, op.tag);
+  if (waiting != link.recvs.size()) {
     // A receive is already waiting: match immediately. The receiver sees
     // the signal after the link delay; the sender's synchronized-send
     // completion also covers the delivery (round-trip halves, Section
     // IV-A symmetry assumption). The sink write is sequenced before
     // fulfil, which the receiver's wait() synchronizes with.
-    PendingOp recv = std::move(channel.recvs.front());
-    channel.recvs.pop_front();
+    PendingOp recv = take(link.recvs, waiting);
     const Clock::time_point visible = std::max(delivered, recv.posted_at);
     if (recv.sink != nullptr) {
       *recv.sink = std::move(op.payload);
@@ -89,7 +137,7 @@ bool Communicator::post_send(Channel& channel, PendingOp op, std::size_t src,
     op.request->fulfil(visible);
     return true;
   }
-  channel.sends.push_back(std::move(op));
+  link.sends.push_back(std::move(op));
   return false;
 }
 
@@ -107,10 +155,11 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag,
   bool matched = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Channel& channel = shard.channels[ChannelKey{src, dst, tag}];
+    Link& link = shard.links[link_index(src, dst)];
     FaultInjector::Decision fault;
     if (injector_ != nullptr) {
-      fault = injector_->decide(src, dst, tag, channel.next_send_seq++);
+      fault = injector_->decide(src, dst, tag,
+                                shard.send_seq[ChannelKey{src, dst, tag}]++);
     }
     if (fault.drop) {
       // The message is lost in the network: it never matches a receive,
@@ -121,21 +170,27 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag,
     }
     const Clock::duration fault_delay = std::chrono::duration_cast<
         Clock::duration>(std::chrono::duration<double>(fault.delay_seconds));
+    shard.duplicated += fault.duplicates;
     for (std::size_t d = 0; d < fault.duplicates; ++d) {
       // Ghost copy behind the original: same payload, its own request
-      // nobody waits on. It sits in the channel exactly like a stray
-      // duplicate delivered by a flaky link — a later receive on the
-      // same channel would consume it.
-      channel.sends.push_back(PendingOp{std::make_shared<RequestState>(), now,
-                                        payload, nullptr, fault_delay, {}});
+      // nobody waits on. It sits on the link exactly like a stray
+      // duplicate delivered by a flaky link — a later receive with the
+      // same tag would consume it.
+      link.sends.push_back(PendingOp{tag, std::make_shared<RequestState>(),
+                                     now, payload, nullptr, fault_delay, {}});
     }
-    PendingOp op{request, now, std::move(payload), nullptr, fault_delay, {}};
-    if (fault.duplicates > 0 && channel.recvs.empty()) {
-      // Keep FIFO order: the original goes ahead of its ghosts so the
-      // receiver's single matching recv binds the real send.
-      channel.sends.push_front(std::move(op));
+    PendingOp op{tag, request, now, std::move(payload), nullptr, fault_delay,
+                 {}};
+    if (fault.duplicates > 0 &&
+        find_tag(link.recvs, tag) == link.recvs.size()) {
+      // Keep FIFO order: the original goes to the head of its tag's
+      // queue, ahead of its ghosts, so the receiver's single matching
+      // recv binds the real send.
+      const std::size_t head = find_tag(link.sends, tag);
+      link.sends.insert(link.sends.begin() + static_cast<std::ptrdiff_t>(head),
+                        std::move(op));
     } else {
-      matched = post_send(channel, std::move(op), src, dst);
+      matched = post_send(link, std::move(op), src, dst);
     }
   }
   if (matched) {
@@ -169,10 +224,10 @@ Request Communicator::irecv(std::size_t src, std::size_t dst, int tag,
   bool matched = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Channel& channel = shard.channels[ChannelKey{src, dst, tag}];
-    if (!channel.sends.empty()) {
-      PendingOp send = std::move(channel.sends.front());
-      channel.sends.pop_front();
+    Link& link = shard.links[link_index(src, dst)];
+    const std::size_t waiting = find_tag(link.sends, tag);
+    if (waiting != link.sends.size()) {
+      PendingOp send = take(link.sends, waiting);
       const Clock::time_point delivered =
           send.posted_at + delivery_delay(src, dst, send.payload.size()) +
           send.fault_delay;
@@ -185,9 +240,9 @@ Request Communicator::irecv(std::size_t src, std::size_t dst, int tag,
       request->fulfil(visible);
       matched = true;
     } else {
-      channel.recvs.push_back(PendingOp{request, now, Payload{}, sink,
-                                        Clock::duration{},
-                                        std::move(keepalive)});
+      link.recvs.push_back(PendingOp{tag, request, now, Payload{}, sink,
+                                     Clock::duration{},
+                                     std::move(keepalive)});
     }
   }
   if (matched) {
@@ -489,8 +544,20 @@ std::size_t Communicator::unmatched_operations() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, channel] : shard->channels) {
-      n += channel.sends.size() + channel.recvs.size();
+    for (const Link& link : shard->links) {
+      n += link.sends.size() + link.recvs.size();
+    }
+  }
+  return n;
+}
+
+std::size_t Communicator::board_entries() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    n += shard->links.size() + shard->send_seq.size() + shard->put_seq.size();
+    for (const Link& link : shard->links) {
+      n += link.sends.size() + link.recvs.size();
     }
   }
   return n;

@@ -10,29 +10,45 @@
 //   wait_all          — block until a set of requests completes
 //
 // Barrier signals carry no payload; the collective layer's messages
-// carry a vector of 64-bit words. Both go through the same channels:
+// carry a vector of 64-bit words. Both go through the same links:
 // the payload overloads of issend/irecv move the words from the
 // sender's buffer into the receiver's sink at match time (under the
 // shard mutex, sequenced before the requests are fulfilled, so the
 // receiver's wait() return happens-after the sink write).
 //
-// The message board is *sharded by destination rank*: every channel
-// (src, dst, tag) lives in the shard of its destination, each shard has
-// its own mutex and condition variable, and an operation only ever
-// locks the shard where its messages meet. An all-to-all stage at P
-// ranks therefore contends on P independent locks instead of one
-// global one. Matching stays per-channel FIFO, and every fault
-// decision is a counter-based hash of the per-channel send sequence
-// number (a single sending rank per channel makes that number
-// thread-interleaving independent), so sharding cannot change drop /
-// duplicate / delay outcomes — only where the lock lives.
+// The message board is *sharded by destination rank*: every signal
+// src -> dst meets its receive in the shard of dst, each shard has its
+// own mutex and condition variable, and an operation only ever locks
+// the shard where its messages meet. An all-to-all stage at P ranks
+// therefore contends on P independent locks instead of one global one.
 // BoardMode::kGlobal collapses the board back to one shard, preserving
 // the seed's single-mutex behaviour for benchmarking and parity tests.
 //
-// One-sided RMA board: alongside the message channels, every rank owns
+// Inside a shard the board is a dense *link table*: one Link per
+// directed (src, dst) pair, found by index — by src in a destination
+// shard, by src*P + dst on the one-shard kGlobal board — never by a
+// per-tag lookup. A link keeps its unmatched sends and receives in two
+// vectors whose entries carry their tag; a send matches the oldest
+// pending receive with an equal tag and vice versa, so matching stays
+// FIFO per (src, dst, tag) channel. A drained link holds no per-tag
+// state, only vector capacity it reuses, so the board's memory is
+// bounded by the P^2 links plus the operations actually pending — it
+// does not grow with the number of episodes a reused communicator has
+// run (board_entries() exposes the count).
+//
+// Every fault decision is a counter-based hash of the per-channel
+// (src, dst, tag) send sequence number; a single sending rank per
+// channel makes that number thread-interleaving independent, so
+// sharding cannot change drop / duplicate / delay outcomes — only
+// where the lock lives. The sequence numbers live in a per-shard side
+// table keyed by channel, filled only while a fault plan is attached;
+// it keeps counting across resilient retries that resend on the same
+// tag, so a retry draws the next number, not a replay.
+//
+// One-sided RMA board: alongside the message links, every rank owns
 // a flat array of 64-bit *flag words* other ranks write directly —
 // the simmpi analogue of an MPI_Win. A word at rank r lives in
-// shard_of(r), guarded by that shard's mutex like r's channels, so
+// shard_of(r), guarded by that shard's mutex like r's links, so
 // window traffic and two-sided traffic share one lock discipline and
 // one condition variable per destination. rma_put is fire-and-forget
 // (the sender completes locally and never learns the outcome;
@@ -50,7 +66,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -82,6 +97,14 @@ using ByteLatencyModel =
 /// sharded-vs-global parity tests — observable behaviour is identical.
 enum class BoardMode { kSharded, kGlobal };
 
+/// Message tag of `stage` in `episode` of a `stages`-stage plan:
+/// episode * stages + stage, so back-to-back episodes on one
+/// communicator cannot cross-match. Every executor derives its tags
+/// here. Throws optibar::Error naming the episode when any stage tag of
+/// that episode falls outside int, so an episode never starts with
+/// tags it cannot finish.
+int episode_tag(int episode, std::size_t stages, std::size_t stage);
+
 class Communicator {
  public:
   explicit Communicator(std::size_t size,
@@ -108,6 +131,10 @@ class Communicator {
 
   /// Signals the fault plan has swallowed so far, summed over shards.
   std::size_t dropped_messages() const;
+
+  /// Ghost copies the fault plan's duplicate rules have injected so
+  /// far, summed over shards.
+  std::size_t duplicated_messages() const;
 
   /// One-sided puts the fault plan has swallowed so far (counted
   /// separately from dropped_messages — a dropped put has no send
@@ -169,6 +196,12 @@ class Communicator {
   /// Number of posted-but-unmatched operations (diagnostics; a correct
   /// barrier execution ends with zero).
   std::size_t unmatched_operations() const;
+
+  /// Records the message board holds (diagnostics): one per link, one
+  /// per unmatched operation and one per fault sequence counter. Once
+  /// every posted operation has matched, a fault-free board reports
+  /// the same count however many episodes it has carried.
+  std::size_t board_entries() const;
 
   // ---- One-sided RMA board (see the header comment) ----
 
@@ -248,6 +281,7 @@ class Communicator {
 
  private:
   struct PendingOp {
+    int tag = 0;
     Request request;
     Clock::time_point posted_at;
     Payload payload;         ///< pending send: words in flight
@@ -256,13 +290,16 @@ class Communicator {
     std::shared_ptr<void> keepalive;  ///< keeps *sink alive while pending
   };
 
-  using ChannelKey = std::tuple<std::size_t, std::size_t, int>;
-
-  struct Channel {
-    std::deque<PendingOp> sends;
-    std::deque<PendingOp> recvs;
-    std::uint64_t next_send_seq = 0;  ///< feeds the fault injector
+  /// One directed (src, dst) link: its unmatched operations across all
+  /// tags, each list in posting order. Entries of one tag are either
+  /// all sends or all receives (an opposite pair would have matched).
+  struct Link {
+    std::vector<PendingOp> sends;
+    std::vector<PendingOp> recvs;
   };
+
+  /// Fault sequence key (src, dst, tag): one send counter per channel.
+  using ChannelKey = std::tuple<std::size_t, std::size_t, int>;
 
   /// One window flag word. `value` is the last *arrived* write (wait
   /// predicates read it under the shard mutex); `visible_at` is when
@@ -278,20 +315,29 @@ class Communicator {
   /// counter-based hash, one counter per put channel.
   using PutKey = std::tuple<std::size_t, std::size_t, std::size_t>;
 
-  /// One destination mailbox: the channels whose messages terminate at
-  /// this rank, their unmatched lists, and the condvar batched waiters
-  /// park on. `dropped` is per-shard and aggregated on read.
+  /// One destination mailbox: the links whose messages terminate at
+  /// this rank (all P^2 links on the kGlobal board), and the condvar
+  /// batched waiters park on. The fault counters are per-shard and
+  /// aggregated on read; the sequence tables stay empty unless a fault
+  /// plan is attached.
   struct Shard {
     mutable std::mutex mutex;
     mutable std::condition_variable cv;
-    std::map<ChannelKey, Channel> channels;
+    std::vector<Link> links;       ///< see link_index()
     std::size_t dropped = 0;       ///< guarded by mutex
+    std::size_t duplicated = 0;    ///< guarded by mutex
     std::size_t dropped_puts = 0;  ///< guarded by mutex
+    std::map<ChannelKey, std::uint64_t> send_seq;  ///< guarded by mutex
     std::map<PutKey, std::uint64_t> put_seq;  ///< guarded by mutex
   };
 
   std::size_t shard_of(std::size_t dst) const {
     return board_ == BoardMode::kGlobal ? 0 : dst;
+  }
+
+  /// Index of link src -> dst within shard_of(dst).
+  std::size_t link_index(std::size_t src, std::size_t dst) const {
+    return board_ == BoardMode::kGlobal ? src * size_ + dst : src;
   }
 
   void check_rank(std::size_t rank, const char* what) const;
@@ -303,7 +349,7 @@ class Communicator {
   // the dst shard's mutex. `op.request` may be a ghost nobody waits on
   // (duplicates). Returns true when a match fulfilled requests (the
   // caller then notifies the waiter shards after unlocking).
-  bool post_send(Channel& channel, PendingOp op, std::size_t src,
+  bool post_send(Link& link, PendingOp op, std::size_t src,
                  std::size_t dst);
 
   // Acquire-release the shard's mutex, then notify its condvar: the

@@ -82,8 +82,7 @@ void ScheduleExecutor::begin_stage(EpisodeHandle& handle,
   const std::size_t rank = handle.ctx_->rank();
   const StageOps& ops = ops_[rank][stage];
   // Tag = (episode, stage) so repeated barrier calls cannot cross-match.
-  const int tag =
-      handle.episode_ * static_cast<int>(stages_) + static_cast<int>(stage);
+  const int tag = episode_tag(handle.episode_, stages_, stage);
   handle.requests_.clear();
   handle.requests_.reserve(ops.send_to.size() + ops.recv_from.size());
   // Sends before recvs — the op order execute() has always used; the
@@ -205,8 +204,7 @@ void ScheduleExecutor::begin_stage_resilient(ResilientEpisodeHandle& handle,
   }
   const std::size_t rank = handle.ctx_->rank();
   const StageOps& ops = ops_[rank][stage];
-  const int tag =
-      handle.episode_ * static_cast<int>(stages_) + static_cast<int>(stage);
+  const int tag = episode_tag(handle.episode_, stages_, stage);
   handle.sends_.clear();
   handle.sends_.reserve(ops.send_to.size());
   for (std::size_t dst : ops.send_to) {
@@ -359,8 +357,7 @@ void ScheduleExecutor::progress_resilient(ResilientEpisodeHandle& handle,
       // Resend every unacked synchronized send: a fresh message with a
       // fresh fault draw, so a lossy (not dead) link can still let it
       // through. Receives are not reposted — the original stays armed.
-      const int tag = handle.episode_ * static_cast<int>(stages_) +
-                      static_cast<int>(handle.stage_);
+      const int tag = episode_tag(handle.episode_, stages_, handle.stage_);
       for (ResilientEpisodeHandle::SendOp& send : handle.sends_) {
         if (!send.done) {
           send.attempts.push_back(handle.ctx_->issend(send.dst, tag));

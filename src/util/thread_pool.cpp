@@ -82,6 +82,15 @@ void ThreadPool::push(Task task) {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
   }
   sleep_cv_.notify_one();
+  // A caller parked in TaskGroup::wait() helps too: wake it so the new
+  // task does not wait for a worker while that caller idles.
+  std::lock_guard<std::mutex> lock(parked_mutex_);
+  for (TaskGroup* group : parked_) {
+    {
+      std::lock_guard<std::mutex> fence(group->mutex_);
+    }
+    group->cv_.notify_all();
+  }
 }
 
 bool ThreadPool::try_pop(Task& out) {
@@ -156,12 +165,28 @@ void ThreadPool::TaskGroup::wait() {
       pool_.execute(task);
       continue;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0 ||
-             pool_.queued_.load(std::memory_order_acquire) > 0;
-    });
+    // Park until this group drains or any task is queued. Registering
+    // first lets push() find and wake this caller; push() bumps
+    // queued_ before it scans the registry, so a push racing this
+    // registration is seen by the predicate below.
+    {
+      std::lock_guard<std::mutex> lock(pool_.parked_mutex_);
+      pool_.parked_.push_back(this);
+    }
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] {
+        return pending_.load(std::memory_order_acquire) == 0 ||
+               pool_.queued_.load(std::memory_order_acquire) > 0;
+      });
+    }
+    std::lock_guard<std::mutex> lock(pool_.parked_mutex_);
+    pool_.parked_.erase(
+        std::find(pool_.parked_.begin(), pool_.parked_.end(), this));
   }
+  // Taking the mutex also waits out a finish_one() that has zeroed
+  // pending_ but not yet released it: after this, no worker touches the
+  // group, so the caller may destroy it.
   std::exception_ptr error;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -181,8 +206,12 @@ void ThreadPool::TaskGroup::record_error(std::exception_ptr error) {
 }
 
 void ThreadPool::TaskGroup::finish_one() {
+  // Decrement and notify under the group mutex: wait() may return as
+  // soon as it sees zero, and the group (often on the caller's stack)
+  // dies right after — but only once wait() has itself taken this
+  // mutex, i.e. after this critical section is over.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
     cv_.notify_all();
   }
 }

@@ -10,7 +10,11 @@
 //   - fork-join via TaskGroup: wait() *helps* — it executes queued
 //     tasks while its own are outstanding, so nested parallelism
 //     (parallel children spawning parallel candidate scoring) cannot
-//     deadlock and never idles the caller;
+//     deadlock and never idles the caller; a caller parked in wait()
+//     is woken by every push, not only by its own group draining;
+//   - a group may be destroyed as soon as wait() returns: workers
+//     finish a task's bookkeeping under the group mutex, and wait()
+//     takes that mutex before it returns;
 //   - a pool of width 1 spawns no threads and runs every task inline on
 //     the submitting thread, making the serial path byte-for-byte the
 //     code the parallel path runs per task. Tuning results are
@@ -108,6 +112,10 @@ class ThreadPool {
   std::atomic<bool> stop_{false};
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
+  /// Groups whose caller is parked in wait(); push() wakes them. Lock
+  /// order: parked_mutex_, then a group's mutex_.
+  std::mutex parked_mutex_;
+  std::vector<TaskGroup*> parked_;
 };
 
 }  // namespace optibar

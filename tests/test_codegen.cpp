@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
@@ -96,6 +98,27 @@ TEST(CompiledBarrier, ExecutesEquivalentlyToInterpreter) {
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST(CompiledBarrier, RefusesTheFirstOverflowingEpisode) {
+  const Schedule s = tree_barrier(4);
+  const CompiledBarrier compiled(s);
+  const int stages = static_cast<int>(s.stage_count());
+  const int last = (std::numeric_limits<int>::max() - stages + 1) / stages;
+  simmpi::Communicator comm(4);
+  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
+    compiled.execute(ctx, last);
+  });
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+  EXPECT_THROW(simmpi::run_ranks(comm,
+                                 [&](simmpi::RankContext& ctx) {
+                                   compiled.execute(ctx, last + 1);
+                                 }),
+               Error);
+  // The emitted MPI code states the same bound.
+  const GeneratedCode code = generate_mpi_c(s, "tb4");
+  EXPECT_NE(code.source.find("episode <= " + std::to_string(last)),
+            std::string::npos);
 }
 
 TEST(CompiledBarrier, SynchronizesUnderDelayInjection) {

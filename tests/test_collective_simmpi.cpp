@@ -10,10 +10,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "collective/generators.hpp"
 #include "collective/tuner.hpp"
+#include "simmpi/runtime.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -118,6 +120,26 @@ TEST(CollectiveSimmpi, ExecutorRejectsWrongBufferSize) {
                Error);
   EXPECT_THROW(executor.run_once(random_inputs(3, 8, rng), ReduceOp::kSum),
                Error);
+}
+
+TEST(CollectiveSimmpi, ExecutorRefusesTheFirstOverflowingEpisode) {
+  const CollectiveExecutor executor(ring_allreduce(4, 8, 8));
+  const int stages = static_cast<int>(executor.stage_count());
+  const int last = (std::numeric_limits<int>::max() - stages + 1) / stages;
+  simmpi::Communicator comm(4);
+  std::vector<Payload> buffers(4, Payload(8, 1));
+  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
+    executor.execute(ctx, ReduceOp::kSum, buffers[ctx.rank()], last);
+  });
+  EXPECT_EQ(buffers[0], Payload(8, 4));
+  EXPECT_THROW(simmpi::run_ranks(comm,
+                                 [&](simmpi::RankContext& ctx) {
+                                   executor.execute(ctx, ReduceOp::kSum,
+                                                    buffers[ctx.rank()],
+                                                    last + 1);
+                                 }),
+               Error);
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
 }
 
 /// Stress: repeated episodes over one executor, fresh random inputs per

@@ -1,13 +1,20 @@
 // Tests for the seeded fault model: spec grammar round-trips, decision
-// determinism, and the communicator-level drop/duplicate/delay hooks.
+// determinism, the communicator-level drop/duplicate/delay hooks, and
+// the per-channel send sequence that resilient retries draw from.
 #include "simmpi/fault.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "barrier/algorithms.hpp"
 #include "simmpi/communicator.hpp"
+#include "simmpi/executor.hpp"
+#include "simmpi/resilience.hpp"
+#include "simmpi/runtime.hpp"
 #include "util/error.hpp"
 
 namespace optibar {
@@ -264,6 +271,140 @@ TEST(CommunicatorFaults, PayloadSurvivesDelaySpike) {
   recv->wait();
   send->wait();
   EXPECT_EQ(sink, (simmpi::Payload{1, 2, 3}));
+}
+
+TEST(CommunicatorFaults, DuplicatesAreCounted) {
+  simmpi::Communicator comm(2);
+  FaultPlan plan;
+  plan.duplicates.push_back({0, 1, 0, 1.0, 0.0});
+  plan.duplicates.push_back({0, 1, 0, 1.0, 0.0});
+  comm.set_fault_plan(plan);
+  auto recv = comm.irecv(0, 1, 0);
+  auto send = comm.issend(0, 1, 0);
+  send->wait();
+  recv->wait();
+  EXPECT_EQ(comm.duplicated_messages(), 2u);
+  EXPECT_EQ(comm.unmatched_operations(), 2u);  // the two ghosts
+}
+
+// ---- The per-channel send sequence behind every fault decision ----
+
+class FaultSequence : public ::testing::TestWithParam<simmpi::BoardMode> {};
+
+INSTANTIATE_TEST_SUITE_P(BoardModes, FaultSequence,
+                         ::testing::Values(simmpi::BoardMode::kSharded,
+                                           simmpi::BoardMode::kGlobal),
+                         [](const auto& info) {
+                           return info.param == simmpi::BoardMode::kSharded
+                                      ? "sharded"
+                                      : "global";
+                         });
+
+/// What one resilient episode under a fault plan left behind.
+struct FaultedRun {
+  simmpi::StallReport report;
+  std::size_t dropped = 0;
+  std::size_t duplicated = 0;
+  std::size_t dropped_puts = 0;
+};
+
+FaultedRun run_faulted(const Schedule& schedule, const FaultPlan& plan,
+                       const simmpi::ResilienceOptions& options,
+                       simmpi::BoardMode board) {
+  const simmpi::ScheduleExecutor executor(schedule);
+  simmpi::Communicator comm(schedule.ranks(), simmpi::uniform_latency(),
+                            nullptr, board);
+  comm.set_fault_plan(plan);
+  FaultedRun run;
+  run.report.reset(executor.ranks(), executor.stage_count());
+  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
+    if (executor.execute_resilient(ctx, options, run.report)) {
+      run.report.per_rank[ctx.rank()].finished = true;
+    }
+  });
+  run.report.finalize();
+  run.dropped = comm.dropped_messages();
+  run.duplicated = comm.duplicated_messages();
+  run.dropped_puts = comm.dropped_puts();
+  return run;
+}
+
+TEST_P(FaultSequence, RetryDrawsTheNextSequenceNumber) {
+  // Channel 0 -> 1 at stage 0 drops the first `drops` sends on it, and
+  // only those. Each resilient retry resends on the same tag; it must
+  // draw the next sequence number, so the barrier completes after
+  // exactly `drops` losses. A replay of number 0 would drop every
+  // retry and stall.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t drops;
+  };
+  for (const Case c : {Case{5, 1}, Case{2, 2}}) {
+    FaultPlan plan;
+    plan.seed = c.seed;
+    plan.drops.push_back({0, 1, 0, 0.5, 0.0});
+    const FaultInjector injector(plan);
+    for (std::uint64_t seq = 0; seq <= c.drops; ++seq) {
+      ASSERT_EQ(injector.decide(0, 1, 0, seq).drop, seq < c.drops)
+          << "seed " << c.seed << " seq " << seq;
+    }
+    simmpi::ResilienceOptions options;
+    options.deadline_floor = 30ms;
+    options.max_retries = c.drops;
+    options.retry_backoff = 1.0;
+    const FaultedRun run =
+        run_faulted(dissemination_barrier(4), plan, options, GetParam());
+    EXPECT_FALSE(run.report.stalled) << run.report.describe();
+    EXPECT_EQ(run.dropped, c.drops) << "seed " << c.seed;
+  }
+}
+
+TEST_P(FaultSequence, CountsAndStallReportArePinned) {
+  // One fixed plan over a mixed-transport barrier (stage 1 one-sided).
+  // No retries, so every rank sends each of its signals at most once
+  // and the outcome depends on the hashed decisions alone. The
+  // expected values are those of the per-channel map board the link
+  // table replaced: the board layout must not move a single decision.
+  Schedule schedule = dissemination_barrier(8);
+  schedule.set_transport(1, schedule.stage(1));
+  const FaultPlan plan = FaultPlan::parse(
+      "seed=21;drop=*>*@*:0.15;dup=*>*@*:0.5;putdrop=*>*@*:0.2");
+  simmpi::ResilienceOptions options;
+  options.deadline_floor = 100ms;
+  options.max_retries = 0;
+  const FaultedRun run = run_faulted(schedule, plan, options, GetParam());
+  EXPECT_EQ(run.dropped, 2u);
+  EXPECT_EQ(run.duplicated, 4u);
+  EXPECT_EQ(run.dropped_puts, 3u);
+  EXPECT_EQ(run.report.describe(),
+            "stall report: 8/8 ranks stuck, 9 signals pending\n"
+            "  rank 0: stuck at stage 1, no one-sided flag from rank 6; "
+            "last heard from rank 7\n"
+            "  rank 1: stuck at stage 1, no one-sided flag from rank 7; "
+            "last heard from rank 0\n"
+            "  rank 2: stuck at stage 1, no one-sided flag from rank 0; "
+            "last heard from rank 1\n"
+            "  rank 3: stuck at stage 1, no one-sided flag from rank 1; "
+            "last heard from rank 2\n"
+            "  rank 4: stuck at stage 2, no signal from rank 0, unacked "
+            "send to rank 0; last heard from rank 2\n"
+            "  rank 5: stuck at stage 2, no signal from rank 1, unacked "
+            "send to rank 1; last heard from rank 3\n"
+            "  rank 6: stuck at stage 0, unacked send to rank 7; last "
+            "heard from rank 5\n"
+            "  rank 7: stuck at stage 0, no signal from rank 6; never heard "
+            "from any peer\n"
+            "  lost signal: stage 0 6 -> 7\n"
+            "  lost signal: stage 1 0 -> 2\n"
+            "  lost signal: stage 1 1 -> 3\n"
+            "  lost signal: stage 1 6 -> 0\n"
+            "  lost signal: stage 1 7 -> 1\n"
+            "  lost signal: stage 2 0 -> 4\n"
+            "  lost signal: stage 2 1 -> 5\n"
+            "  lost signal: stage 2 4 -> 0\n"
+            "  lost signal: stage 2 5 -> 1\n"
+            "  knowledge: 45/64 arrival facts never propagated (e.g. rank 0's "
+            "arrival never reached rank 2)\n");
 }
 
 }  // namespace

@@ -3,22 +3,32 @@
 // contention, batched waits complete across shards, a persistent
 // RankPool survives a thousand episodes and rank exceptions, and fault
 // decisions are bit-identical between the sharded and the one-mutex
-// (BoardMode::kGlobal) board. Runs under both tsan and asan.
+// (BoardMode::kGlobal) board, and a reused communicator's board stays
+// the same size however many episodes it carries. Runs under both tsan
+// and asan.
 #include "simmpi/rank_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
 #include "barrier/algorithms.hpp"
+#include "collective/executor.hpp"
+#include "collective/generators.hpp"
+#include "core/tuner.hpp"
+#include "rma/transport.hpp"
 #include "simmpi/communicator.hpp"
 #include "simmpi/executor.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/resilience.hpp"
 #include "simmpi/runtime.hpp"
+#include "topology/generate.hpp"
+#include "topology/machine.hpp"
+#include "topology/mapping.hpp"
 #include "util/error.hpp"
 
 namespace optibar {
@@ -140,6 +150,77 @@ TEST_P(ShardedBoard, BatchedWaitOverManyRounds) {
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+// ---- Board bound: a reused communicator does not grow per episode ----
+
+simmpi::LatencyModel zero_latency() {
+  return [](std::size_t, std::size_t) {
+    return simmpi::Clock::duration::zero();
+  };
+}
+
+TopologyProfile quad_profile(std::size_t ranks) {
+  const MachineSpec machine = quad_cluster();
+  return generate_profile(machine, round_robin_mapping(machine, ranks));
+}
+
+/// Run `episodes` back-to-back pooled episodes of `episode` on one
+/// communicator, the way an application reuses its world communicator,
+/// and check the board holds as many entries after the last episode as
+/// after the 100th, with nothing left unmatched.
+void expect_bounded_board(
+    std::size_t p, BoardMode board,
+    const std::function<void(RankContext&, int)>& episode) {
+  constexpr int kEpisodes = 10'000;
+  constexpr int kProbe = 100;
+  Communicator comm(p, zero_latency(), nullptr, board);
+  RankPool pool(p);
+  std::size_t at_probe = 0;
+  for (int e = 0; e < kEpisodes; ++e) {
+    simmpi::run_ranks(pool, comm,
+                      [&](RankContext& ctx) { episode(ctx, e); });
+    if (e + 1 == kProbe) {
+      at_probe = comm.board_entries();
+    }
+  }
+  EXPECT_EQ(comm.board_entries(), at_probe)
+      << "board grew between episode " << kProbe << " and " << kEpisodes;
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST_P(ShardedBoard, TunedBarrierBoardStaysBounded) {
+  const std::size_t p = 8;
+  const ScheduleExecutor executor(
+      tune_barrier(quad_profile(p), EngineOptions{}).schedule());
+  expect_bounded_board(p, GetParam(), [&](RankContext& ctx, int e) {
+    ScheduleExecutor::EpisodeHandle handle = executor.post(ctx, e);
+    executor.wait(handle);
+  });
+}
+
+TEST_P(ShardedBoard, HybridBarrierBoardStaysBounded) {
+  const std::size_t p = 8;
+  const rma::TransportTune plan =
+      rma::tune_best_transport(quad_profile(p), EngineOptions{});
+  ASSERT_TRUE(plan.schedule.has_one_sided());
+  const ScheduleExecutor executor(plan.schedule);
+  expect_bounded_board(p, GetParam(), [&](RankContext& ctx, int e) {
+    ScheduleExecutor::EpisodeHandle handle = executor.post(ctx, e);
+    executor.wait(handle);
+  });
+}
+
+TEST_P(ShardedBoard, AllreduceBoardStaysBounded) {
+  const std::size_t p = 8;
+  const CollectiveExecutor executor(
+      recursive_doubling_allreduce(p, 8, 8));
+  std::vector<Payload> buffers(p);
+  expect_bounded_board(p, GetParam(), [&](RankContext& ctx, int e) {
+    Payload& buffer = buffers[ctx.rank()];
+    buffer.assign(8, ctx.rank() + static_cast<std::size_t>(e));
+    executor.execute(ctx, ReduceOp::kSum, buffer, e);
+  });
 }
 
 TEST(RankPool, ExecutorReusesOnePoolForAThousandEpisodes) {

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <string>
 
 #include "barrier/algorithms.hpp"
 #include "topology/generate.hpp"
@@ -259,6 +261,75 @@ TEST(Executor, MismatchedCommunicatorSizeThrows) {
   EXPECT_THROW(simmpi::run_ranks(
                    comm, [&](simmpi::RankContext& ctx) { exec.execute(ctx); }),
                Error);
+}
+
+// ---- Episode tags: episode * stages + stage, checked against int ----
+
+/// Largest episode whose every stage tag fits an int.
+int last_episode(std::size_t stages) {
+  const int width = static_cast<int>(stages);
+  return (INT_MAX - width + 1) / width;
+}
+
+/// Smallest (most negative) episode whose every stage tag fits an int.
+int first_episode(std::size_t stages) {
+  return INT_MIN / static_cast<int>(stages);
+}
+
+/// The message of the Error `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EpisodeTag, LastValidAndFirstInvalidEpisode) {
+  // A one-stage plan's tag is the episode itself: every int fits.
+  EXPECT_EQ(simmpi::episode_tag(INT_MAX, 1, 0), INT_MAX);
+  EXPECT_EQ(simmpi::episode_tag(INT_MIN, 1, 0), INT_MIN);
+  for (const std::size_t stages : {2u, 3u, 7u, 64u}) {
+    const int last = last_episode(stages);
+    EXPECT_EQ(simmpi::episode_tag(last, stages, stages - 1),
+              last * static_cast<int>(stages) + static_cast<int>(stages) - 1);
+    const std::string over = error_of(
+        [&] { simmpi::episode_tag(last + 1, stages, 0); });
+    EXPECT_NE(over.find("episode " + std::to_string(last + 1)),
+              std::string::npos)
+        << stages << " stages: '" << over << "'";
+    // Negative episodes are legal tags too, down to INT_MIN.
+    const int first = first_episode(stages);
+    EXPECT_EQ(simmpi::episode_tag(first, stages, 0),
+              first * static_cast<int>(stages));
+    EXPECT_THROW(simmpi::episode_tag(first - 1, stages, stages - 1), Error);
+  }
+  // The whole episode is checked, not just the requested stage: the
+  // first stage of an episode whose last stage overflows already throws.
+  EXPECT_THROW(simmpi::episode_tag(last_episode(3) + 1, 3, 0), Error);
+  EXPECT_THROW(simmpi::episode_tag(0, 3, 3), Error);  // stage out of range
+}
+
+TEST(EpisodeTag, ExecutorRefusesTheFirstOverflowingEpisode) {
+  const simmpi::ScheduleExecutor exec(dissemination_barrier(4));
+  const int last = last_episode(exec.stage_count());
+  simmpi::Communicator comm(4);
+  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
+    exec.execute(ctx, last);
+  });
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+  const std::string message = error_of([&] {
+    simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
+      exec.execute(ctx, last + 1);
+    });
+  });
+  EXPECT_NE(message.find("episode " + std::to_string(last + 1)),
+            std::string::npos)
+      << message;
+  // Refused before anything was posted: the board is still clean.
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
 }
 
 TEST(LatencyModels, ProfileLatencyMatchesOverheadMatrix) {
