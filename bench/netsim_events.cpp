@@ -24,6 +24,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "netsim/engine.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"

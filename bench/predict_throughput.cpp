@@ -20,9 +20,10 @@
 #include "barrier/compiled_schedule.hpp"
 #include "barrier/cost_model.hpp"
 #include "core/tuner.hpp"
+#include "netsim/engine.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
-#include "netsim/engine.hpp"
 #include "topology/mapping.hpp"
 
 namespace {

@@ -31,10 +31,13 @@ namespace {
 using namespace optibar;
 using simmpi::BoardMode;
 using simmpi::Communicator;
-using simmpi::ExecutionMode;
 using simmpi::RankContext;
 using simmpi::RankPool;
 using simmpi::ScheduleExecutor;
+
+// How an episode obtains its rank threads: spawn-and-join per episode,
+// or one generation of a persistent RankPool.
+enum class Vehicle { kSpawn, kPool };
 
 simmpi::LatencyModel zero_latency() {
   return [](std::size_t, std::size_t) {
@@ -45,18 +48,18 @@ simmpi::LatencyModel zero_latency() {
 // One barrier episode per iteration; a fresh communicator per episode
 // (mirroring run_once) keeps the channel map from accumulating across
 // the tag space.
-void BM_ThreadRuntime(benchmark::State& state, ExecutionMode exec,
+void BM_ThreadRuntime(benchmark::State& state, Vehicle exec,
                       BoardMode board) {
   const std::size_t p = static_cast<std::size_t>(state.range(0));
   const ScheduleExecutor executor(dissemination_barrier(p));
-  RankPool pool(exec == ExecutionMode::kPersistentPool ? p : 1);
+  RankPool pool(exec == Vehicle::kPool ? p : 1);
   int episode = 0;
   for (auto _ : state) {
     Communicator comm(p, zero_latency(), nullptr, board);
     const simmpi::RankFunction fn = [&](RankContext& ctx) {
       executor.execute(ctx, episode);
     };
-    if (exec == ExecutionMode::kPersistentPool) {
+    if (exec == Vehicle::kPool) {
       simmpi::run_ranks(pool, comm, fn);
     } else {
       simmpi::run_ranks(comm, fn);
@@ -67,26 +70,26 @@ void BM_ThreadRuntime(benchmark::State& state, ExecutionMode exec,
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_ThreadRuntime, spawn_global,
-                  ExecutionMode::kSpawnPerEpisode, BoardMode::kGlobal)
+                  Vehicle::kSpawn, BoardMode::kGlobal)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ThreadRuntime, spawn_sharded,
-                  ExecutionMode::kSpawnPerEpisode, BoardMode::kSharded)
+                  Vehicle::kSpawn, BoardMode::kSharded)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ThreadRuntime, pooled_global,
-                  ExecutionMode::kPersistentPool, BoardMode::kGlobal)
+                  Vehicle::kPool, BoardMode::kGlobal)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ThreadRuntime, pooled_sharded,
-                  ExecutionMode::kPersistentPool, BoardMode::kSharded)
+                  Vehicle::kPool, BoardMode::kSharded)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
 
 // Vehicle cost alone: empty rank function, no communicator traffic.
-void BM_EpisodeDispatch(benchmark::State& state, ExecutionMode exec) {
+void BM_EpisodeDispatch(benchmark::State& state, Vehicle exec) {
   const std::size_t p = static_cast<std::size_t>(state.range(0));
-  RankPool pool(exec == ExecutionMode::kPersistentPool ? p : 1);
+  RankPool pool(exec == Vehicle::kPool ? p : 1);
   Communicator comm(p, zero_latency());
   const simmpi::RankFunction fn = [](RankContext&) {};
   for (auto _ : state) {
-    if (exec == ExecutionMode::kPersistentPool) {
+    if (exec == Vehicle::kPool) {
       simmpi::run_ranks(pool, comm, fn);
     } else {
       simmpi::run_ranks(comm, fn);
@@ -95,9 +98,9 @@ void BM_EpisodeDispatch(benchmark::State& state, ExecutionMode exec) {
   state.counters["episodes_per_second"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK_CAPTURE(BM_EpisodeDispatch, spawn, ExecutionMode::kSpawnPerEpisode)
+BENCHMARK_CAPTURE(BM_EpisodeDispatch, spawn, Vehicle::kSpawn)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EpisodeDispatch, pooled, ExecutionMode::kPersistentPool)
+BENCHMARK_CAPTURE(BM_EpisodeDispatch, pooled, Vehicle::kPool)
     ->Arg(16)->Arg(48)->Arg(120)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -55,7 +55,7 @@ int main() {
 
   // A sub-communicator: the ranks of node 2 only.
   const std::vector<std::size_t> node2{16, 17, 18, 19, 20, 21, 22, 23};
-  const LibraryEntry& node_barrier = library.barrier_for(node2);
+  const LibraryEntry& node_barrier = library.subset_plan(node2);
   std::cout.setf(std::ios::scientific);
   std::cout << "node-2 sub-barrier: predicted "
             << node_barrier.predicted_cost << " s vs world "

@@ -11,5 +11,5 @@ cmake --build build-asan -j "$(nproc)" --target \
   test_fault_plan test_resilience test_rma test_validate \
   test_format_hardening test_library test_plan_service test_failure_injection \
   test_runtime_scaling test_nonblocking test_netsim_parity \
-  test_thread_pool_stress
+  test_thread_pool_stress test_engine_stress
 ctest --test-dir build-asan -L asan --output-on-failure

@@ -11,5 +11,5 @@ cmake --build build-tsan -j "$(nproc)" --target \
   test_compiled_predict \
   test_collective_simmpi test_fault_plan test_resilience test_rma \
   test_runtime_scaling test_nonblocking test_netsim_parity \
-  test_thread_pool_stress
+  test_thread_pool_stress test_engine_stress
 ctest --test-dir build-tsan -L tsan --output-on-failure

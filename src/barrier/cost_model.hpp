@@ -73,8 +73,8 @@ struct Prediction {
 
 /// Cost of one send batch per Eq. 1 (awaited == false) or Eq. 2
 /// (awaited == true). An empty target set costs zero. Prices every
-/// edge two-sided; transport-tagged schedules are priced by predict()
-/// / predict_reference(), which read Schedule::transport() per stage
+/// edge two-sided; transport-tagged schedules are priced by predict(),
+/// which reads Schedule::transport() per stage
 /// (put edges swap O(i,j) for the local O(i,i), deliver R(i,j) after
 /// the batch, and skip receiver processing).
 double step_cost(const TopologyProfile& profile, std::size_t sender,
@@ -84,17 +84,10 @@ double step_cost(const TopologyProfile& profile, std::size_t sender,
 /// kernel (barrier/compiled_schedule.hpp): the schedule is compiled
 /// against the profile into thread-local reused storage and evaluated
 /// with a thread-local workspace, so repeated calls allocate only the
-/// returned Prediction. Bit-identical to predict_reference().
+/// returned Prediction. Bit-identical to the direct recurrence the
+/// parity tests keep (tests/support/predict_reference.cpp).
 Prediction predict(const Schedule& schedule, const TopologyProfile& profile,
                    const PredictOptions& options = {});
-
-/// The direct (uncompiled) implementation of the Section VI recurrence,
-/// kept as the independently-written oracle the compiled kernel is
-/// parity-tested against. Prefer predict(); this path re-derives the
-/// stage adjacency on every call.
-Prediction predict_reference(const Schedule& schedule,
-                             const TopologyProfile& profile,
-                             const PredictOptions& options = {});
 
 /// Shorthand for predict(...).critical_path; with the thread-local
 /// workspace warm this performs no heap allocations at all.

@@ -1,150 +1,49 @@
 // End-to-end collective execution on the simmpi runtime.
 //
-// The collective counterpart of simmpi::ScheduleExecutor: per rank and
-// stage it precomputes the send and receive lists of a
-// CollectiveSchedule. The stage semantics match the serial interpreter
-// exactly — outgoing sub-ranges are copied out of the rank's buffer
-// *before* any incoming data of the stage is applied (the snapshot
-// rule), and incoming edges are applied in ascending source order — so
-// a valid schedule's execution is bit-exact against execute_serial()
-// and the oracle, which is what makes data correctness (not just
-// timing) testable on the threaded runtime.
-//
-// Like the barrier executor, execution is handle-based
-// (MPI_Iallreduce-style): post() issues stage 0 and returns, test()
-// polls and advances, wait() finishes in bounded progress slices, and
-// the blocking execute() is literally wait(post()) — so the nonblocking
-// lifecycle inherits the snapshot/apply ordering (and therefore the
-// bit-exactness guarantee) by construction.
+// The collective front-end of the stage engine (simmpi/stage_engine.hpp):
+// it translates a CollectiveSchedule into per-rank stage ops — one send
+// and one receive per edge, carrying the edge's word range — and
+// supplies the ReduceOp that combining receives fold with. The engine's
+// stage semantics match the serial interpreter exactly (the snapshot
+// rule, incoming edges applied in ascending source order), so a valid
+// schedule's execution is bit-exact against execute_serial() and the
+// oracle: data correctness, not just timing, is testable on the threaded
+// runtime. Execution is handle-based (MPI_Iallreduce-style) with the
+// engine's post/test/wait lifecycle.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "collective/schedule.hpp"
-#include "simmpi/executor_options.hpp"
-#include "simmpi/fault.hpp"
-#include "simmpi/resilience.hpp"
-#include "simmpi/runtime.hpp"
+#include "simmpi/stage_engine.hpp"
 
 namespace optibar {
 
-class CollectiveExecutor {
+class CollectiveExecutor : private simmpi::StageEngine {
  public:
-  /// One in-flight collective episode of one rank. Move-only; the
-  /// handle owns the current stage's requests and inbox. The buffer
-  /// passed to post() is transformed in place and must stay alive (at a
-  /// stable address) until the episode is done.
-  class EpisodeHandle {
-   public:
-    EpisodeHandle() = default;
-    EpisodeHandle(EpisodeHandle&&) = default;
-    EpisodeHandle& operator=(EpisodeHandle&&) = default;
-    EpisodeHandle(const EpisodeHandle&) = delete;
-    EpisodeHandle& operator=(const EpisodeHandle&) = delete;
-
-    bool done() const { return done_; }
-
-   private:
-    friend class CollectiveExecutor;
-    simmpi::RankContext* ctx_ = nullptr;
-    ReduceOp op_ = ReduceOp::kSum;
-    Payload* buffer_ = nullptr;
-    int episode_ = 0;
-    std::size_t stage_ = 0;
-    std::vector<simmpi::Request> requests_;
-    /// Landing zone of the current stage's receives. Lives in the
-    /// handle (stable element addresses across handle moves — vector
-    /// storage does not relocate on move) and is applied to the buffer
-    /// only when the whole stage completed.
-    std::vector<Payload> inbox_;
-    bool done_ = false;
-  };
-
-  /// One in-flight bounded-wait collective episode; see the barrier
-  /// executor's ResilientEpisodeHandle for the elapsed-progress-time
-  /// deadline semantics. The inbox is shared with the communicator
-  /// (keepalive) so a late sender can still deliver into storage that
-  /// outlives a given-up receive.
-  class ResilientEpisodeHandle {
-   public:
-    ResilientEpisodeHandle() = default;
-    ResilientEpisodeHandle(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle& operator=(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle(const ResilientEpisodeHandle&) = delete;
-    ResilientEpisodeHandle& operator=(const ResilientEpisodeHandle&) = delete;
-
-    bool done() const { return done_ || failed_; }
-    bool succeeded() const { return done_; }
-    bool stalled() const { return failed_; }
-
-   private:
-    friend class CollectiveExecutor;
-    struct SendState {
-      std::size_t dst;
-      std::vector<simmpi::Request> attempts;
-      bool done = false;
-    };
-    struct RecvState {
-      std::size_t src;
-      simmpi::Request request;
-      bool done = false;
-    };
-
-    simmpi::RankContext* ctx_ = nullptr;
-    simmpi::StallReport* report_ = nullptr;
-    simmpi::ResilienceOptions options_;
-    ReduceOp op_ = ReduceOp::kSum;
-    Payload* buffer_ = nullptr;
-    int episode_ = 0;
-    std::size_t crash_at_ = 0;
-    std::size_t stage_ = 0;
-    std::vector<SendState> sends_;
-    std::vector<RecvState> recvs_;
-    std::shared_ptr<std::vector<Payload>> inbox_;
-    std::size_t attempt_ = 0;
-    simmpi::Clock::duration budget_{};
-    simmpi::Clock::duration consumed_{};
-    bool done_ = false;
-    bool failed_ = false;
-  };
+  using StageEngine::EpisodeHandle;
+  using StageEngine::ResilientEpisodeHandle;
 
   /// Precompute per-rank op lists. The schedule must pass
   /// is_valid_collective(): executing an invalid dataflow would
-  /// silently produce wrong buffers. options.validate() runs here.
-  /// Pool semantics match the barrier executor: an owned RankPool with
-  /// ExecutionMode::kPersistentPool, or the caller's shared_pool.
+  /// silently produce wrong buffers.
   explicit CollectiveExecutor(const CollectiveSchedule& schedule,
                               const simmpi::ExecutorOptions& options = {});
 
-  /// Deprecated: use CollectiveExecutor(schedule,
-  /// simmpi::ExecutorOptions{.mode = mode}). Thin forward kept for
-  /// source compatibility.
-  [[deprecated("pass ExecutorOptions instead of a bare ExecutionMode")]]
-  CollectiveExecutor(const CollectiveSchedule& schedule,
-                     simmpi::ExecutionMode mode);
+  using StageEngine::options;
+  using StageEngine::ranks;
+  using StageEngine::stage_count;
+  using StageEngine::test;
+  using StageEngine::wait;
 
-  std::size_t ranks() const { return ops_.size(); }
-  std::size_t stage_count() const { return stages_; }
-  const simmpi::ExecutorOptions& options() const { return options_; }
-
-  /// Post one collective episode: snapshot and send stage 0's outgoing
-  /// sub-ranges of `buffer` (elem_count words, transformed in place as
-  /// stages complete), arm stage 0's receives, return without waiting.
+  /// Post one collective episode on `buffer` (elem_count words,
+  /// transformed in place; it must stay at a stable address until the
+  /// episode is done) and return without waiting.
   EpisodeHandle post(simmpi::RankContext& ctx, ReduceOp op, Payload& buffer,
                      int episode = 0) const;
 
-  /// Nonblocking probe: advance through every stage whose requests all
-  /// completed, applying incoming edges in ascending source order as
-  /// each stage closes; returns whether the episode is done.
-  bool test(EpisodeHandle& handle) const;
-
-  /// Drive the episode to completion in bounded progress slices.
-  void wait(EpisodeHandle& handle) const;
-
-  /// Execute one collective episode for `rank`, transforming `buffer`
-  /// in place: exactly wait(post(ctx, op, buffer, episode)).
+  /// Exactly wait(post(ctx, op, buffer, episode)).
   void execute(simmpi::RankContext& ctx, ReduceOp op, Payload& buffer,
                int episode = 0) const;
 
@@ -167,16 +66,7 @@ class CollectiveExecutor {
       const simmpi::ResilienceOptions& options, simmpi::StallReport& report,
       int episode = 0) const;
 
-  /// Nonblocking probe of a resilient episode (zero-width progress
-  /// slice; only time spent inside is charged to the deadline).
-  bool test(ResilientEpisodeHandle& handle) const;
-
-  /// Drive a resilient episode to a terminal state; true when every
-  /// stage completed.
-  bool wait(ResilientEpisodeHandle& handle) const;
-
-  /// Blocking bounded-wait episode: exactly
-  /// wait(post_resilient(...)).
+  /// Exactly wait(post_resilient(...)).
   bool execute_resilient(simmpi::RankContext& ctx, ReduceOp op,
                          Payload& buffer,
                          const simmpi::ResilienceOptions& options,
@@ -194,52 +84,6 @@ class CollectiveExecutor {
       const FaultPlan& faults = {},
       simmpi::LatencyModel latency = simmpi::uniform_latency(),
       simmpi::ByteLatencyModel byte_latency = nullptr) const;
-
- private:
-  struct SendOp {
-    std::size_t dst = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-  };
-  struct RecvOp {
-    std::size_t src = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-    bool combine = false;
-  };
-  struct StageOps {
-    std::vector<SendOp> sends;
-    std::vector<RecvOp> recvs;  ///< ascending src — the application order
-  };
-
-  // Spawn threads or dispatch a pool generation, per the construction
-  // options.
-  void run_episode(simmpi::Communicator& comm,
-                   const simmpi::RankFunction& fn) const;
-
-  void check_context(const simmpi::RankContext& ctx,
-                     const Payload& buffer) const;
-
-  // Copy `send`'s sub-range out of the buffer (the snapshot rule).
-  Payload send_words(const Payload& buffer, const SendOp& send) const;
-
-  // Apply the stage's received words to the buffer, ascending src.
-  void apply_stage(const StageOps& ops, const std::vector<Payload>& inbox,
-                   ReduceOp op, Payload& buffer) const;
-
-  // Snapshot + post stage `stage`'s operations into the handle (or mark
-  // it done past the last stage).
-  void begin_stage(EpisodeHandle& handle, std::size_t stage) const;
-  void begin_stage_resilient(ResilientEpisodeHandle& handle,
-                             std::size_t stage) const;
-  void progress_resilient(ResilientEpisodeHandle& handle,
-                          simmpi::Clock::duration slice) const;
-
-  std::size_t stages_ = 0;
-  std::size_t elem_count_ = 0;
-  std::vector<std::vector<StageOps>> ops_;  ///< ops_[rank][stage]
-  simmpi::ExecutorOptions options_;
-  std::unique_ptr<simmpi::RankPool> pool_;  ///< owned kPersistentPool only
 };
 
 }  // namespace optibar

@@ -306,7 +306,7 @@ void BarrierLibrary::build_entry_locked(Slot& slot,
     entry->global_ranks = ranks;
     entry->stored.schedule = tuned.schedule();
     entry->stored.awaited_stages = tuned.barrier().awaited_stages;
-    entry->compiled = CompiledBarrier(tuned.schedule());
+    entry->compiled = simmpi::ScheduleExecutor(tuned.schedule());
     entry->predicted_cost = tuned.predicted_cost();
     entry->generation =
         service_->next_generation.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -403,7 +403,7 @@ void BarrierLibrary::publish_fallback_locked(
   const Schedule safe = dissemination_barrier(ranks.size());
   fallback->global_ranks = ranks;
   fallback->stored.schedule = safe;
-  fallback->compiled = CompiledBarrier(safe);
+  fallback->compiled = simmpi::ScheduleExecutor(safe);
   fallback->predicted_cost =
       predicted_time(safe, profile_.restrict_to(ranks).symmetrized());
   fallback->degraded = true;
@@ -713,7 +713,7 @@ void BarrierLibrary::insert_record(const PlanStoreRecord& record) {
   auto entry = std::make_unique<LibraryEntry>();
   entry->global_ranks = record.subset;
   entry->stored = record.plan;
-  entry->compiled = CompiledBarrier(record.plan.schedule);
+  entry->compiled = simmpi::ScheduleExecutor(record.plan.schedule);
   entry->predicted_cost = record.predicted_cost;
   entry->generation =
       service_->next_generation.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -910,7 +910,7 @@ void BarrierLibrary::run_repair(Service& service, RepairJob job) {
     auto entry = std::make_unique<LibraryEntry>();
     entry->global_ranks = job.ranks;
     entry->stored = std::move(chosen);
-    entry->compiled = CompiledBarrier(entry->stored.schedule);
+    entry->compiled = simmpi::ScheduleExecutor(entry->stored.schedule);
     entry->predicted_cost = chosen_cost;
     entry->generation =
         service.next_generation.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -47,6 +47,7 @@
 #include "core/codegen.hpp"
 #include "core/plan_health.hpp"
 #include "core/tuner.hpp"
+#include "simmpi/executor.hpp"
 #include "topology/profile.hpp"
 
 namespace optibar {
@@ -67,7 +68,7 @@ struct StallReport;
 struct LibraryEntry {
   std::vector<std::size_t> global_ranks;
   StoredSchedule stored;
-  CompiledBarrier compiled{Schedule(1)};
+  simmpi::ScheduleExecutor compiled{Schedule(1)};
   double predicted_cost = 0.0;
   /// True when this entry is a quarantine fallback (a known-safe
   /// dissemination barrier) rather than the tuned plan — see
@@ -125,11 +126,6 @@ class BarrierLibrary {
   /// library's lifetime (until eviction when
   /// ServiceOptions::max_cache_entries bounds the cache).
   const LibraryEntry& subset_plan(const std::vector<std::size_t>& ranks);
-
-  /// Historic name for subset_plan(); kept for existing callers.
-  const LibraryEntry& barrier_for(const std::vector<std::size_t>& ranks) {
-    return subset_plan(ranks);
-  }
 
   /// Batch form: tune every subset, fanning the not-yet-cached ones out
   /// across the pool (serial without one). Validates all subsets before

@@ -12,6 +12,7 @@
 #include "core/codegen.hpp"
 #include "core/composer.hpp"
 #include "core/engine_options.hpp"
+#include "simmpi/executor.hpp"
 #include "topology/profile.hpp"
 
 namespace optibar {
@@ -43,8 +44,10 @@ class TuneResult {
   /// Specialised C++ source for the hybrid barrier (Section VII-C).
   GeneratedCode generated_code() const;
 
-  /// Specialised in-process executor.
-  CompiledBarrier compiled() const { return CompiledBarrier(schedule()); }
+  /// In-process executor of the hybrid barrier.
+  simmpi::ScheduleExecutor compiled() const {
+    return simmpi::ScheduleExecutor(schedule());
+  }
 
  private:
   TopologyProfile profile_;

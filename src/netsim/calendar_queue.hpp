@@ -1,8 +1,9 @@
 // Calendar-queue scheduler over typed simulation events.
 //
 // The zero-alloc replacement for EventQueue on the netsim hot path
-// (EventQueue remains as the reference scheduler — see engine.hpp's
-// simulate_reference). Three structural changes buy the throughput:
+// (EventQueue remains as the reference scheduler of the test-only
+// simulate_reference, tests/support/). Three structural changes buy
+// the throughput:
 //
 //   - events are a typed POD (SimEvent) dispatched through a switch in
 //     the engine, not a heap-allocated std::function closure;

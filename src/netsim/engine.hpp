@@ -41,7 +41,7 @@
 //                          discipline of compiled_schedule.hpp).
 //   simulate_reference() — the original closure-over-priority-queue
 //                          engine, kept verbatim as the parity oracle
-//                          (the predict_reference pattern). Every
+//                          in test-only code (tests/support/). Every
 //                          result — completion vectors, traces, stall
 //                          diagnostics, RNG streams — is bit-identical
 //                          between the two (test_netsim_parity).
@@ -228,14 +228,6 @@ struct SimWorkspace {
 /// check separately; the engine itself only requires well-formed stages.
 SimResult simulate(const Schedule& schedule, const TopologyProfile& profile,
                    const SimOptions& options = {});
-
-/// The original engine (std::function events on a binary-heap
-/// EventQueue, per-stage adjacency vectors), kept as the bit-identical
-/// oracle for simulate(). Cold path: use only for parity testing and
-/// as the baseline of bench_netsim.
-SimResult simulate_reference(const Schedule& schedule,
-                             const TopologyProfile& profile,
-                             const SimOptions& options = {});
 
 /// simulate() into caller-owned storage: compiles `schedule` into
 /// `workspace.compiled` (grow-only) and writes the result into `out`,

@@ -71,7 +71,7 @@ bool Window::wait(std::size_t rank, std::size_t episode,
     OPTIBAR_REQUIRE(slot < slots_, "slot " << slot << " out of range");
     flags.push_back(wait_for(episode, slot));
   }
-  return comm_.rma_wait_until(rank, flags, deadline);
+  return comm_.wait_stage_on_until(rank, {}, flags, deadline);
 }
 
 }  // namespace optibar::rma

@@ -7,7 +7,9 @@
 //                       "local completion is an indication that both
 //                       processes have been involved", Section III)
 //   irecv(src, tag)   — nonblocking receive from a specific source
-//   wait_all          — block until a set of requests completes
+//   wait_all          — block until a set of requests completes; the
+//                       executors' batched, bounded form (one park per
+//                       wakeup, flags too) is wait_stage_on_until
 //
 // Barrier signals carry no payload; the collective layer's messages
 // carry a vector of 64-bit words. Both go through the same links:
@@ -161,30 +163,10 @@ class Communicator {
   Request irecv(std::size_t src, std::size_t dst, int tag, Payload* sink,
                 std::shared_ptr<void> keepalive = nullptr);
 
-  /// Wait for every request (order-independent), one request at a time.
+  /// Wait for every request (order-independent), one request at a time
+  /// on each request's own condvar. Executors use the batched
+  /// wait_stage_on_until instead.
   static void wait_all(std::span<const Request> requests);
-
-  /// Batched wait for rank `waiter`: sleeps on the waiter's shard
-  /// condition variable and re-scans the whole request set once per
-  /// wakeup, instead of blocking on each request's own condvar in
-  /// turn. Every match notifies both the destination shard (where the
-  /// receiver waits) and the sender's shard, so a rank parked here is
-  /// woken by completions of its receives *and* of its sends to other
-  /// shards. All requests must belong to operations posted by
-  /// `waiter`; like wait_all, this blocks forever on a dropped send.
-  void wait_all_on(std::size_t waiter, std::span<const Request> requests) const;
-
-  /// One bounded progress slice of wait_all_on: park on the waiter's
-  /// shard condvar until every request has *matched* or `deadline`
-  /// passes. Returns false on the deadline with requests still
-  /// unmatched — the caller re-slices (or gives up). On true, the
-  /// simulated delivery latency (ready_at) of every request has been
-  /// slept out, exactly like wait_all_on — so a loop of slices is
-  /// observably identical to one unbounded park, which is what makes
-  /// wait(post()) bit-identical to the blocking execute().
-  bool wait_all_on_until(std::size_t waiter,
-                         std::span<const Request> requests,
-                         Clock::time_point deadline) const;
 
   /// Bounded wait over a request set: true when all completed within
   /// the budget (checked jointly, not per request). On false, some
@@ -259,21 +241,14 @@ class Communicator {
   bool rma_test(std::size_t rank, std::size_t word,
                 std::uint64_t expected) const;
 
-  /// Bounded park on `waiter`'s shard condvar until every flag in
-  /// `waiter`'s own window has arrived, or `deadline` passes (false —
-  /// some flag never written, e.g. a dropped put). On true the
-  /// delivery latency of the latest flag has been slept out, mirroring
-  /// wait_all_on_until's matched-then-sleep contract.
-  bool rma_wait_until(std::size_t waiter, std::span<const FlagWait> flags,
-                      Clock::time_point deadline) const;
-
-  /// Combined bounded wait of one mixed-transport stage: park on
-  /// `waiter`'s shard condvar until every request has matched *and*
-  /// every flag has arrived, or `deadline` passes. On true, both the
-  /// requests' ready_at times and the flags' visibility times have
-  /// been slept out — a loop of slices is observably identical to one
-  /// unbounded wait, which keeps handle-based execution bit-compatible
-  /// with blocking execution on mixed stages.
+  /// The batched bounded wait (one progress slice): park on `waiter`'s
+  /// shard condvar, re-scanning the set per wakeup, until every request
+  /// `waiter` posted has matched and every flag in its own window has
+  /// arrived, or `deadline` passes (false). Matches notify both the
+  /// destination and the sender shard, so sends to other shards wake
+  /// the waiter too; already-matched requests succeed past the
+  /// deadline. On true, delivery and visibility times have been slept
+  /// out, so a loop of slices is observably one unbounded wait.
   bool wait_stage_on_until(std::size_t waiter,
                            std::span<const Request> requests,
                            std::span<const FlagWait> flags,

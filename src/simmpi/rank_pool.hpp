@@ -31,14 +31,6 @@
 
 namespace optibar::simmpi {
 
-/// How an executor's run_once-style entry points obtain rank threads:
-/// spawn-and-join per episode (cheap to hold, pays creation every
-/// call) or a RankPool owned by the executor (pays creation once,
-/// holds P parked threads for the executor's lifetime). The pooled
-/// mode serializes concurrent episodes on the pool; observable
-/// behaviour is otherwise identical.
-enum class ExecutionMode { kSpawnPerEpisode, kPersistentPool };
-
 class RankPool {
  public:
   /// Spawn `ranks` parked workers (one per rank id).

@@ -39,6 +39,29 @@ Clock::duration ResilienceOptions::stage_deadline(std::size_t stage) const {
   return std::clamp(deadline, deadline_floor, deadline_ceiling);
 }
 
+void ResilienceOptions::validate() const {
+  OPTIBAR_REQUIRE(slack > 0.0, "resilience slack must be positive, got "
+                                   << slack);
+  OPTIBAR_REQUIRE(time_scale > 0.0,
+                  "resilience time_scale must be positive, got "
+                      << time_scale);
+  OPTIBAR_REQUIRE(retry_backoff >= 1.0,
+                  "resilience retry_backoff must be >= 1, got "
+                      << retry_backoff);
+  OPTIBAR_REQUIRE(deadline_floor >= Clock::duration::zero(),
+                  "resilience deadline_floor must be non-negative");
+  using Millis = std::chrono::duration<double, std::milli>;
+  OPTIBAR_REQUIRE(deadline_ceiling >= deadline_floor,
+                  "resilience deadline_floor "
+                      << Millis(deadline_floor).count()
+                      << " ms exceeds deadline_ceiling "
+                      << Millis(deadline_ceiling).count() << " ms");
+  for (const double seconds : predicted_stage_seconds) {
+    OPTIBAR_REQUIRE(seconds >= 0.0,
+                    "negative predicted stage cost " << seconds);
+  }
+}
+
 bool StallReport::names_edge(std::size_t stage, std::size_t src,
                              std::size_t dst) const {
   return std::find(pending_edges.begin(), pending_edges.end(),

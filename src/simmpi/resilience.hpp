@@ -49,6 +49,12 @@ struct ResilienceOptions {
   double retry_backoff = 2.0;
 
   Clock::duration stage_deadline(std::size_t stage) const;
+
+  /// Throws optibar::Error when a knob could never produce a usable
+  /// deadline (non-positive slack or time scale, backoff below 1, a
+  /// negative floor or predicted cost, a ceiling below the floor).
+  /// Every resilient entry point calls it before the first stage.
+  void validate() const;
 };
 
 /// One schedule edge (stage s, src -> dst); the unit the report names.

@@ -50,22 +50,6 @@ class RankContext {
     Communicator::wait_all(requests);
   }
 
-  /// Batched wait for this rank's own requests: one park on the rank's
-  /// shard condvar per wakeup instead of one condvar wait per request
-  /// (Communicator::wait_all_on).
-  void wait_all_batched(std::span<const Request> requests) const {
-    comm_->wait_all_on(rank_, requests);
-  }
-
-  /// One bounded progress slice of the batched wait: park until all
-  /// requests have matched or `deadline` passes
-  /// (Communicator::wait_all_on_until). The nonblocking executors'
-  /// wait(handle) loops this instead of blocking forever.
-  bool wait_all_batched_until(std::span<const Request> requests,
-                              Clock::time_point deadline) const {
-    return comm_->wait_all_on_until(rank_, requests, deadline);
-  }
-
   /// One-sided flag store into `dst`'s window (fire-and-forget;
   /// Communicator::rma_put). `stage` feeds fault-plan matching.
   void rma_put(std::size_t dst, std::size_t word, std::uint64_t value,
@@ -78,9 +62,10 @@ class RankContext {
     return comm_->rma_test(rank_, word, expected);
   }
 
-  /// Combined bounded wait of a mixed-transport stage: this rank's
-  /// requests plus awaited flags in its own window
-  /// (Communicator::wait_stage_on_until).
+  /// The batched bounded wait: park on this rank's shard condvar until
+  /// every request matched and every flag in its own window arrived,
+  /// or `deadline` passes (Communicator::wait_stage_on_until). Pass an
+  /// empty flag list for requests alone.
   bool wait_stage_until(std::span<const Request> requests,
                         std::span<const Communicator::FlagWait> flags,
                         Clock::time_point deadline) const {

@@ -279,6 +279,23 @@ TEST_F(CliWorkflow, SimulateWithFaultsReportsStallsViaExitCode) {
                  schedule_path_, "--faults", "bogus=1"})
                 .code,
             1);
+  // Resilience knobs that can never give a usable deadline are refused
+  // before any rank runs: a floor above the 250 ms ceiling, a negative
+  // slack.
+  {
+    const CliResult floor =
+        run({"simulate", "--profile", profile_path_, "--schedule",
+             schedule_path_, "--faults", "seed=1;drop=0>1@0:1",
+             "--retries", "0", "--deadline-floor-ms", "1000"});
+    EXPECT_EQ(floor.code, 1);
+    EXPECT_NE(floor.err.find("deadline_ceiling"), std::string::npos)
+        << floor.err;
+    EXPECT_EQ(run({"simulate", "--profile", profile_path_, "--schedule",
+                   schedule_path_, "--faults", "seed=1;drop=0>1@0:1",
+                   "--slack", "-5"})
+                  .code,
+              1);
+  }
 }
 
 TEST_F(CliWorkflow, TraceExportsCsvAndChrome) {

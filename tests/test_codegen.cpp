@@ -13,6 +13,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
+#include "simmpi/executor.hpp"
 #include "simmpi/runtime.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
@@ -79,8 +80,8 @@ TEST(Codegen, SourceIsDeterministic) {
   EXPECT_EQ(generate_cpp(s, "d8").source, generate_cpp(s, "d8").source);
 }
 
-TEST(CompiledBarrier, DropsNoOpStages) {
-  const CompiledBarrier compiled(tree_barrier(8));
+TEST(SpecialisedExecutor, DropsNoOpStages) {
+  const simmpi::ScheduleExecutor compiled(tree_barrier(8));
   EXPECT_EQ(compiled.ranks(), 8u);
   // Rank 1: one send + one recv across the whole barrier.
   EXPECT_EQ(compiled.op_count(1), 2u);
@@ -88,9 +89,9 @@ TEST(CompiledBarrier, DropsNoOpStages) {
   EXPECT_EQ(compiled.op_count(0), 6u);
 }
 
-TEST(CompiledBarrier, ExecutesEquivalentlyToInterpreter) {
+TEST(SpecialisedExecutor, ExecutesEquivalentlyToInterpreter) {
   const Schedule s = tree_barrier(6);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor compiled(s);
   simmpi::Communicator comm(6);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     for (int episode = 0; episode < 3; ++episode) {
@@ -100,9 +101,9 @@ TEST(CompiledBarrier, ExecutesEquivalentlyToInterpreter) {
   EXPECT_EQ(comm.unmatched_operations(), 0u);
 }
 
-TEST(CompiledBarrier, RefusesTheFirstOverflowingEpisode) {
+TEST(SpecialisedExecutor, RefusesTheFirstOverflowingEpisode) {
   const Schedule s = tree_barrier(4);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor compiled(s);
   const int stages = static_cast<int>(s.stage_count());
   const int last = (std::numeric_limits<int>::max() - stages + 1) / stages;
   simmpi::Communicator comm(4);
@@ -121,10 +122,10 @@ TEST(CompiledBarrier, RefusesTheFirstOverflowingEpisode) {
             std::string::npos);
 }
 
-TEST(CompiledBarrier, SynchronizesUnderDelayInjection) {
+TEST(SpecialisedExecutor, SynchronizesUnderDelayInjection) {
   using namespace std::chrono_literals;
   const Schedule s = dissemination_barrier(5);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor compiled(s);
   simmpi::Communicator comm(5);
   std::vector<std::chrono::nanoseconds> exits(5);
   const auto start = simmpi::Clock::now();
@@ -142,12 +143,12 @@ TEST(CompiledBarrier, SynchronizesUnderDelayInjection) {
   }
 }
 
-TEST(CompiledBarrier, RejectsNonBarrier) {
+TEST(SpecialisedExecutor, RejectsNonBarrier) {
   Schedule s(2);
   StageMatrix m(2, 2, 0);
   m(1, 0) = 1;
   s.append_stage(std::move(m));
-  EXPECT_THROW(CompiledBarrier{s}, Error);
+  EXPECT_THROW(simmpi::ScheduleExecutor{s}, Error);
 }
 
 TEST(MpiCodegen, EmitsWellFormedCFunction) {
@@ -295,9 +296,9 @@ int main() {
 
 TEST(Codegen, GeneratedAdapterRunsInProcessWithoutFiles) {
   // The same policy-adapter pattern, but exercised directly against the
-  // CompiledBarrier equivalent to pin the two representations together.
+  // specialised executor to pin the two representations together.
   const Schedule s = pairwise_exchange_barrier(8);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor compiled(s);
   simmpi::Communicator comm(8);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     P2PAdapter adapter{&ctx};

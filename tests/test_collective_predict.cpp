@@ -11,6 +11,7 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
 #include "collective/generators.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"

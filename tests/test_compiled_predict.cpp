@@ -14,9 +14,10 @@
 
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
+#include "netsim/engine.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
-#include "netsim/engine.hpp"
 #include "topology/mapping.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

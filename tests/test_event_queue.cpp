@@ -3,7 +3,7 @@
 // The two must agree on the total order — ascending (time, insertion
 // sequence) — which the cross-check property test below enforces under
 // randomized interleaved push/pop traffic.
-#include "netsim/event_queue.hpp"
+#include "support/event_queue.hpp"
 
 #include <gtest/gtest.h>
 

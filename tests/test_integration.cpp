@@ -148,7 +148,7 @@ TEST(Integration, CompiledHybridRunsOnThreadRuntime) {
   const MachineSpec m = quad_cluster(2);
   const TopologyProfile profile = generate_profile(m, 12);
   const TuneResult tuned = tune_barrier(profile);
-  const CompiledBarrier compiled = tuned.compiled();
+  const simmpi::ScheduleExecutor compiled = tuned.compiled();
   simmpi::Communicator comm(12);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     for (int episode = 0; episode < 4; ++episode) {

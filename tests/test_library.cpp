@@ -52,7 +52,7 @@ TEST(Library, SubCommunicatorUsesLocalNumbering) {
   // A sub-communicator of one node's ranks (round-robin: node 0 hosts
   // ranks 0, 4, 8, ... for 32 ranks over 4 nodes).
   const std::vector<std::size_t> subset{0, 4, 8, 12, 16, 20, 24, 28};
-  const LibraryEntry& entry = library.barrier_for(subset);
+  const LibraryEntry& entry = library.subset_plan(subset);
   EXPECT_EQ(entry.stored.schedule.ranks(), subset.size());
   EXPECT_TRUE(entry.stored.schedule.is_barrier());
   EXPECT_EQ(entry.global_ranks, subset);
@@ -62,8 +62,8 @@ TEST(Library, SubCommunicatorUsesLocalNumbering) {
 TEST(Library, SubsetCostReflectsItsTopology) {
   BarrierLibrary library(cluster_profile(32));
   // All ranks of one node (cheap links) vs one rank per node (slow).
-  const LibraryEntry& local = library.barrier_for({0, 4, 8, 12});
-  const LibraryEntry& remote = library.barrier_for({0, 1, 2, 3});
+  const LibraryEntry& local = library.subset_plan({0, 4, 8, 12});
+  const LibraryEntry& remote = library.subset_plan({0, 1, 2, 3});
   // Round-robin over 4 nodes: ranks 0,4,8,12 share node 0; ranks
   // 0,1,2,3 are one per node.
   EXPECT_LT(local.predicted_cost, remote.predicted_cost);
@@ -71,19 +71,19 @@ TEST(Library, SubsetCostReflectsItsTopology) {
 
 TEST(Library, DifferentOrderingsAreDifferentEntries) {
   BarrierLibrary library(cluster_profile(8));
-  library.barrier_for({0, 1, 2});
-  library.barrier_for({2, 1, 0});
+  library.subset_plan({0, 1, 2});
+  library.subset_plan({2, 1, 0});
   EXPECT_EQ(library.cache_size(), 2u);
 }
 
 TEST(Library, ValidatesSubsets) {
   BarrierLibrary library(cluster_profile(8));
-  EXPECT_THROW(library.barrier_for({}), Error);
-  EXPECT_THROW(library.barrier_for({0, 0}), Error);
-  EXPECT_THROW(library.barrier_for({0, 8}), Error);
+  EXPECT_THROW(library.subset_plan({}), Error);
+  EXPECT_THROW(library.subset_plan({0, 0}), Error);
+  EXPECT_THROW(library.subset_plan({0, 8}), Error);
 }
 
-TEST(Library, CompiledBarrierExecutesOnThreads) {
+TEST(Library, CompiledPlanExecutesOnThreads) {
   BarrierLibrary library(cluster_profile(12));
   const LibraryEntry& entry = library.full_barrier();
   simmpi::Communicator comm(12);
@@ -102,7 +102,7 @@ TEST(Library, ConcurrentRequestsAreSafe) {
       try {
         const std::vector<std::size_t> subset{0, static_cast<std::size_t>(t) + 1,
                                               static_cast<std::size_t>(t) + 9};
-        const LibraryEntry& entry = library.barrier_for(subset);
+        const LibraryEntry& entry = library.subset_plan(subset);
         if (!entry.stored.schedule.is_barrier()) {
           ++failures;
         }
@@ -197,10 +197,11 @@ TEST(Library, InjectedFaultsDriveQuarantineEndToEnd) {
   resilience.max_retries = 0;
   resilience.deadline_floor = std::chrono::milliseconds(15);
   // The retry loop executes episode after episode — exactly the caller
-  // the pooled mode exists for: one set of parked rank workers serves
+  // a caller-owned pool exists for: one set of parked rank workers serves
   // every attempt.
+  simmpi::RankPool pool(schedule.ranks());
   simmpi::ExecutorOptions pooled;
-  pooled.mode = simmpi::ExecutionMode::kPersistentPool;
+  pooled.shared_pool = &pool;
   const simmpi::ScheduleExecutor executor(schedule, pooled);
   while (!library.is_quarantined(subset)) {
     const simmpi::StallReport report =
@@ -245,8 +246,9 @@ TEST(Library, CollectivePlansQuarantineUnderThePooledExecutor) {
   simmpi::ResilienceOptions resilience;
   resilience.max_retries = 0;
   resilience.deadline_floor = std::chrono::milliseconds(15);
+  simmpi::RankPool pool(schedule.ranks());
   simmpi::ExecutorOptions pooled;
-  pooled.mode = simmpi::ExecutionMode::kPersistentPool;
+  pooled.shared_pool = &pool;
   const CollectiveExecutor executor(from_barrier(schedule), pooled);
   const std::vector<Payload> inputs(subset.size());
   while (!library.is_quarantined(subset)) {

@@ -17,7 +17,6 @@
 #include "collective/generators.hpp"
 #include "collective/schedule.hpp"
 #include "simmpi/executor.hpp"
-#include "simmpi/executor_options.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/error.hpp"
@@ -28,7 +27,6 @@ namespace {
 using namespace std::chrono_literals;
 using simmpi::BoardMode;
 using simmpi::Communicator;
-using simmpi::ExecutionMode;
 using simmpi::ExecutorOptions;
 using simmpi::RankContext;
 using simmpi::RankPool;
@@ -122,29 +120,39 @@ TEST(NonblockingBarrier, ConcurrentEpisodesInterleave) {
 
 // ---- ExecutorOptions ---------------------------------------------------
 
-TEST(ExecutorOptions, ValidatesAtConstruction) {
-  const Schedule schedule = tree_barrier(4);
-  ExecutorOptions bad_slice;
-  bad_slice.progress_slice = 0ms;
-  EXPECT_THROW(ScheduleExecutor(schedule, bad_slice), Error);
-
-  ExecutorOptions bad_backoff;
-  bad_backoff.resilience.retry_backoff = 0.5;
-  EXPECT_THROW(ScheduleExecutor(schedule, bad_backoff), Error);
-
-  ExecutorOptions bad_slack;
-  bad_slack.resilience.slack = 0.0;
-  EXPECT_THROW(ScheduleExecutor(schedule, bad_slack), Error);
-
+TEST(ExecutorOptions, ValidatesAtPostTime) {
+  // ResilienceOptions are checked where they are used: every resilient
+  // entry point of both front-ends refuses them before the first stage.
+  const ScheduleExecutor executor(tree_barrier(4));
   const CollectiveSchedule collective =
       recursive_doubling_allreduce(4, 2, 8);
-  EXPECT_THROW(CollectiveExecutor(collective, bad_slice), Error);
+  const CollectiveExecutor collective_executor(collective);
+  simmpi::ResilienceOptions bad_backoff;
+  bad_backoff.retry_backoff = 0.5;
+  simmpi::ResilienceOptions bad_slack;
+  bad_slack.slack = 0.0;
+  simmpi::ResilienceOptions bad_window;
+  bad_window.deadline_floor = 1000ms;  // above the 250 ms ceiling
+  for (const simmpi::ResilienceOptions& bad :
+       {bad_backoff, bad_slack, bad_window}) {
+    EXPECT_THROW(bad.validate(), Error);
+    EXPECT_THROW((void)executor.run_once_resilient(bad), Error);
+    const std::vector<Payload> inputs(4, Payload(collective.elem_count()));
+    EXPECT_THROW((void)collective_executor.run_once_resilient(
+                     inputs, ReduceOp::kSum, bad),
+                 Error);
+    Communicator comm(4);
+    RankContext ctx(comm, 0);
+    simmpi::StallReport report;
+    report.reset(4, executor.stage_count());
+    EXPECT_THROW((void)executor.post_resilient(ctx, bad, report), Error);
+  }
+  EXPECT_NO_THROW(simmpi::ResilienceOptions{}.validate());
 }
 
 TEST(ExecutorOptions, RejectsUndersizedSharedPool) {
   RankPool pool(2);
   ExecutorOptions options;
-  options.mode = ExecutionMode::kPersistentPool;
   options.shared_pool = &pool;
   EXPECT_THROW(ScheduleExecutor(tree_barrier(4), options), Error);
 }
@@ -152,7 +160,6 @@ TEST(ExecutorOptions, RejectsUndersizedSharedPool) {
 TEST(ExecutorOptions, SharedPoolServesRepeatedEpisodes) {
   RankPool pool(8);
   ExecutorOptions options;
-  options.mode = ExecutionMode::kPersistentPool;
   options.shared_pool = &pool;
   const ScheduleExecutor executor(dissemination_barrier(8), options);
   for (int round = 0; round < 3; ++round) {
@@ -372,7 +379,7 @@ TEST(RequestPolling, DuplicatesDoNotConfuseTestPolling) {
 TEST(RequestPolling, PastDeadlineSliceStillReportsFinishedRequests) {
   // The at-deadline boundary of the bounded batched wait: a request
   // whose match is already complete must be reported done even when the
-  // progress slice's deadline has already passed — wait_all_on_until
+  // progress slice's deadline has already passed — wait_stage_on_until
   // only fails when completion would require waiting strictly past the
   // deadline.
   for (const BoardMode board : {BoardMode::kSharded, BoardMode::kGlobal}) {
@@ -383,8 +390,8 @@ TEST(RequestPolling, PastDeadlineSliceStillReportsFinishedRequests) {
     recv->wait();
     const std::vector<simmpi::Request> requests{send, recv};
     RankContext ctx(comm, 1);
-    EXPECT_TRUE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() - 1ms));
+    EXPECT_TRUE(ctx.wait_stage_until(requests, {},
+                                     simmpi::Clock::now() - 1ms));
   }
 }
 
@@ -394,10 +401,10 @@ TEST(RequestPolling, PastDeadlineSliceFailsOnUnmatchedRequests) {
     auto recv = comm.irecv(0, 1, 0);  // never sent: cannot finish
     const std::vector<simmpi::Request> requests{recv};
     RankContext ctx(comm, 1);
-    EXPECT_FALSE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() - 1ms));
-    EXPECT_FALSE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() + 2ms));
+    EXPECT_FALSE(ctx.wait_stage_until(requests, {},
+                                      simmpi::Clock::now() - 1ms));
+    EXPECT_FALSE(ctx.wait_stage_until(requests, {},
+                                      simmpi::Clock::now() + 2ms));
   }
 }
 

@@ -91,8 +91,9 @@ TEST(PlanService, ClosedLoopRepairPromotesThroughProbation) {
   simmpi::ResilienceOptions resilience;
   resilience.max_retries = 0;
   resilience.deadline_floor = std::chrono::milliseconds(15);
+  simmpi::RankPool pool(schedule.ranks());
   simmpi::ExecutorOptions pooled;
-  pooled.mode = simmpi::ExecutionMode::kPersistentPool;
+  pooled.shared_pool = &pool;
   const simmpi::ScheduleExecutor executor(schedule, pooled);
   // Loop on the cumulative counter, not the transient state: with a
   // zero backoff the worker can repair and promote before this thread

@@ -11,9 +11,10 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/compiled_schedule.hpp"
 #include "barrier/cost_model.hpp"
+#include "netsim/engine.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
-#include "netsim/engine.hpp"
 #include "topology/mapping.hpp"
 
 namespace optibar {

@@ -257,11 +257,11 @@ TEST_P(PropertySweep, ScheduleIoRoundTripsRandomBarriers) {
   }
 }
 
-TEST_P(PropertySweep, CompiledBarrierExecutesRandomBarriers) {
+TEST_P(PropertySweep, ExecutorRunsRandomBarriers) {
   Rng rng(GetParam());
   const std::size_t p = 2 + rng.next_below(6);  // keep thread counts small
   const Schedule s = random_barrier(p, rng);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor compiled(s);
   simmpi::Communicator comm(p);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     compiled.execute(ctx);
@@ -274,7 +274,7 @@ TEST_P(PropertySweep, InterpreterMatchesCompiledOpCounts) {
   for (int round = 0; round < 5; ++round) {
     const std::size_t p = 2 + rng.next_below(12);
     const Schedule s = random_barrier(p, rng);
-    const CompiledBarrier compiled(s);
+    const simmpi::ScheduleExecutor compiled(s);
     std::size_t total_ops = 0;
     for (std::size_t r = 0; r < p; ++r) {
       total_ops += compiled.op_count(r);

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "simmpi/executor.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/runtime.hpp"
+#include "support/reference.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -189,6 +191,37 @@ TEST(RmaExecutor, ThousandEpisodeEpochReuseOnPooledRanks) {
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST(RmaExecutor, ExecutorAtAFreedExecutorsAddressStartsClean) {
+  // Two executors built one after the other at the same address
+  // (std::optional::emplace) on one communicator, both running episode
+  // 0: the second must not inherit the first one's flag words. When the
+  // window region was keyed on the executor's address, the second round
+  // found every flag already set and all ranks but the late one left
+  // before it entered.
+  const std::size_t p = 4;
+  Schedule schedule = dissemination_barrier(p);
+  tag_all(schedule);
+  Communicator comm(p, zero_latency());
+  simmpi::RankPool pool(p);
+  std::optional<ScheduleExecutor> executor;
+  for (int round = 0; round < 2; ++round) {
+    executor.emplace(schedule);
+    std::vector<std::chrono::nanoseconds> exits(p);
+    const auto start = simmpi::Clock::now();
+    simmpi::run_ranks(pool, comm, [&](RankContext& ctx) {
+      if (ctx.rank() == 2) {
+        std::this_thread::sleep_for(50ms);
+      }
+      executor->execute(ctx, 0);
+      exits[ctx.rank()] = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          simmpi::Clock::now() - start);
+    });
+    for (std::size_t r = 0; r < p; ++r) {
+      EXPECT_GE(exits[r], 50ms) << "round " << round << ", rank " << r;
+    }
+  }
 }
 
 TEST(RmaExecutor, HandleLifecycleOverRmaEdges) {

@@ -37,7 +37,6 @@ namespace {
 using namespace std::chrono_literals;
 using simmpi::BoardMode;
 using simmpi::Communicator;
-using simmpi::ExecutionMode;
 using simmpi::ExecutorOptions;
 using simmpi::Payload;
 using simmpi::RankContext;
@@ -46,6 +45,15 @@ using simmpi::Request;
 using simmpi::ResilienceOptions;
 using simmpi::ScheduleExecutor;
 using simmpi::StallReport;
+
+// The batched wait, unbounded: one-slice-at-a-time parks on the
+// rank's shard condvar until every request matched.
+void wait_batched(RankContext& ctx, const std::vector<Request>& requests) {
+  while (!ctx.wait_stage_until(requests, {},
+                               simmpi::Clock::now() +
+                                   std::chrono::seconds(1))) {
+  }
+}
 
 // Both board modes must pass every board test below.
 class ShardedBoard : public ::testing::TestWithParam<BoardMode> {};
@@ -83,7 +91,7 @@ TEST_P(ShardedBoard, ManyToOneKeepsPerChannelFifo) {
         requests.push_back(ctx.issend(0, 0, Payload{r, i}));
       }
     }
-    ctx.wait_all_batched(requests);
+    wait_batched(ctx, requests);
   });
   for (std::size_t src = 1; src < p; ++src) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -117,7 +125,7 @@ TEST_P(ShardedBoard, AllToAllOrderingAcrossShards) {
         requests.push_back(ctx.irecv(peer, 5, &sinks[r][peer][i]));
       }
     }
-    ctx.wait_all_batched(requests);
+    wait_batched(ctx, requests);
   });
   for (std::size_t r = 0; r < p; ++r) {
     for (std::size_t peer = 0; peer < p; ++peer) {
@@ -146,7 +154,7 @@ TEST_P(ShardedBoard, BatchedWaitOverManyRounds) {
     for (int round = 0; round < rounds; ++round) {
       const std::vector<Request> requests = {ctx.issend(next, round),
                                              ctx.irecv(prev, round)};
-      ctx.wait_all_batched(requests);
+      wait_batched(ctx, requests);
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
@@ -229,8 +237,9 @@ TEST(RankPool, ExecutorReusesOnePoolForAThousandEpisodes) {
   // matching (episode tags) — and agree with the spawn executor's
   // observable outcome.
   const Schedule schedule = dissemination_barrier(8);
+  RankPool pool(schedule.ranks());
   ExecutorOptions pooled_options;
-  pooled_options.mode = ExecutionMode::kPersistentPool;
+  pooled_options.shared_pool = &pool;
   const ScheduleExecutor pooled(schedule, pooled_options);
   const auto zero = [](std::size_t, std::size_t) {
     return simmpi::Clock::duration::zero();

@@ -6,6 +6,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
+#include "simmpi/executor.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -80,11 +81,11 @@ TEST(Tuner, GeneratedCodeUsesConfiguredName) {
   EXPECT_NE(code.source.find("void my_cluster_barrier("), std::string::npos);
 }
 
-TEST(Tuner, CompiledBarrierMatchesScheduleShape) {
+TEST(Tuner, CompiledExecutorMatchesScheduleShape) {
   const MachineSpec m = quad_cluster(2);
   const TopologyProfile profile = generate_profile(m, 16);
   const TuneResult result = tune_barrier(profile);
-  const CompiledBarrier compiled = result.compiled();
+  const simmpi::ScheduleExecutor compiled = result.compiled();
   EXPECT_EQ(compiled.ranks(), 16u);
 }
 
