@@ -1,15 +1,18 @@
 #include "barrier/blocked_schedule.hpp"
 
+#include <algorithm>
+
 #include "barrier/validate.hpp"
 
 namespace optibar {
 namespace {
 
+using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
 /// Extract the (src, dst) pairs of one stage matrix in ascending scan
 /// order — the same order a dense compile() walks them.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> stage_edge_list(
-    const StageMatrix& stage) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+EdgeList stage_edge_list(const StageMatrix& stage) {
+  EdgeList edges;
   for (std::size_t i = 0; i < stage.rows(); ++i) {
     for (std::size_t j = 0; j < stage.cols(); ++j) {
       if (stage(i, j)) {
@@ -19,6 +22,18 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> stage_edge_list(
     }
   }
   return edges;
+}
+
+/// The edge list of the transposed stage, again in ascending (src, dst)
+/// order — what for_each_edge replays on the departure side.
+EdgeList transposed_edge_list(const EdgeList& edges) {
+  EdgeList transposed;
+  transposed.reserve(edges.size());
+  for (const auto& [i, j] : edges) {
+    transposed.emplace_back(j, i);
+  }
+  std::sort(transposed.begin(), transposed.end());
+  return transposed;
 }
 
 }  // namespace
@@ -68,18 +83,23 @@ BlockedSchedule::BlockedSchedule(
     }
   }
 
-  // Precompute per-class and leader edge lists.
-  class_edges_.resize(k);
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    class_edges_[kk].reserve(class_arrivals_[kk].stage_count());
-    for (std::size_t s = 0; s < class_arrivals_[kk].stage_count(); ++s) {
-      class_edges_[kk].push_back(stage_edge_list(class_arrivals_[kk].stage(s)));
+  // Precompute per-class and leader edge lists, in both directions.
+  auto edge_lists = [](const Schedule& schedule,
+                       std::vector<std::vector<Edge>>& forward,
+                       std::vector<std::vector<Edge>>& transposed) {
+    forward.reserve(schedule.stage_count());
+    transposed.reserve(schedule.stage_count());
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      forward.push_back(stage_edge_list(schedule.stage(s)));
+      transposed.push_back(transposed_edge_list(forward.back()));
     }
+  };
+  class_edges_.resize(k);
+  class_edges_t_.resize(k);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    edge_lists(class_arrivals_[kk], class_edges_[kk], class_edges_t_[kk]);
   }
-  leader_edges_.reserve(leader_arrival_.stage_count());
-  for (std::size_t s = 0; s < leader_arrival_.stage_count(); ++s) {
-    leader_edges_.push_back(stage_edge_list(leader_arrival_.stage(s)));
-  }
+  edge_lists(leader_arrival_, leader_edges_, leader_edges_t_);
 
   // Global stage plan, mirroring compose_barrier(): all cluster blocks
   // start at stage 0, the leader block after the longest class
@@ -190,13 +210,17 @@ std::size_t BlockedSchedule::memory_bytes() const {
     bytes += schedule_bytes(arrival);
   }
   bytes += schedule_bytes(leader_arrival_);
-  for (const auto& stages : class_edges_) {
-    for (const auto& edges : stages) {
-      bytes += edges.size() * sizeof(Edge);
+  for (const auto* lists : {&class_edges_, &class_edges_t_}) {
+    for (const auto& stages : *lists) {
+      for (const auto& edges : stages) {
+        bytes += edges.size() * sizeof(Edge);
+      }
     }
   }
-  for (const auto& edges : leader_edges_) {
-    bytes += edges.size() * sizeof(Edge);
+  for (const auto* lists : {&leader_edges_, &leader_edges_t_}) {
+    for (const auto& edges : *lists) {
+      bytes += edges.size() * sizeof(Edge);
+    }
   }
   bytes += stage_refs_.size() * sizeof(BlockedStageRef);
   bytes += awaited_.size() / 8 + 1;

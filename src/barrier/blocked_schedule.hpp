@@ -110,34 +110,29 @@ class BlockedSchedule {
 
   /// Enumerate the global (src, dst) edges of compacted stage `s`.
   /// Order: clusters ascending, then the block's local (src, dst) scan
-  /// order, then the leader block — NOT globally sorted; compile_blocked
-  /// sorts per stage.
+  /// order, then the leader block. Contiguous clusters with ascending
+  /// leaders come out in (src, dst) order; compile_blocked sorts only
+  /// the stages that do not.
   template <class Fn>
   void for_each_edge(std::size_t s, Fn&& fn) const {
     const BlockedStageRef& ref = stage_refs_[s];
     if (ref.local_stage != kNoBlockStage) {
+      const auto& local = ref.transposed ? class_edges_t_ : class_edges_;
       for (std::size_t c = 0; c < clusters_.size(); ++c) {
         const std::size_t k = class_of_[c];
         if (ref.local_stage >= class_edges_[k].size()) {
           continue;
         }
         const auto& members = clusters_[c];
-        for (const auto& [i, j] : class_edges_[k][ref.local_stage]) {
-          if (ref.transposed) {
-            fn(members[j], members[i]);
-          } else {
-            fn(members[i], members[j]);
-          }
+        for (const auto& [i, j] : local[k][ref.local_stage]) {
+          fn(members[i], members[j]);
         }
       }
     }
     if (ref.leader_stage != kNoBlockStage) {
-      for (const auto& [i, j] : leader_edges_[ref.leader_stage]) {
-        if (ref.transposed) {
-          fn(leader_ranks_[j], leader_ranks_[i]);
-        } else {
-          fn(leader_ranks_[i], leader_ranks_[j]);
-        }
+      const auto& leader = ref.transposed ? leader_edges_t_ : leader_edges_;
+      for (const auto& [i, j] : leader[ref.leader_stage]) {
+        fn(leader_ranks_[i], leader_ranks_[j]);
       }
     }
   }
@@ -164,6 +159,10 @@ class BlockedSchedule {
   /// class -> stage -> local (src, dst) pairs in ascending scan order.
   std::vector<std::vector<std::vector<Edge>>> class_edges_;
   std::vector<std::vector<Edge>> leader_edges_;
+  /// The same stages transposed (departure side), again in ascending
+  /// (src, dst) order, so departure stages enumerate sorted too.
+  std::vector<std::vector<std::vector<Edge>>> class_edges_t_;
+  std::vector<std::vector<Edge>> leader_edges_t_;
   std::vector<BlockedStageRef> stage_refs_;
   std::vector<bool> awaited_;
   std::size_t arrival_stages_ = 0;
@@ -188,10 +187,14 @@ void compile_blocked(const BlockedSchedule& plan, const Costs& costs,
       edges.push_back(
           CompiledEdge{src, dst, costs.l(src, dst), costs.o(src, dst)});
     });
-    std::sort(edges.begin(), edges.end(),
-              [](const CompiledEdge& a, const CompiledEdge& b) {
-                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
+    // Contiguous clusters already enumerate in (src, dst) order; only
+    // interleaved layouts pay for the comparison sort.
+    const auto by_src_dst = [](const CompiledEdge& a, const CompiledEdge& b) {
+      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+    };
+    if (!std::is_sorted(edges.begin(), edges.end(), by_src_dst)) {
+      std::sort(edges.begin(), edges.end(), by_src_dst);
+    }
   }
   std::vector<double> self_overhead(plan.ranks());
   for (std::size_t i = 0; i < plan.ranks(); ++i) {

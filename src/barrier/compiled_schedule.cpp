@@ -108,31 +108,38 @@ void CompiledSchedule::compile_edges(
   p_ = ranks;
   stages_ = stage_edges.size();
   const std::size_t rows = stages_ * p_;
+  std::size_t total = 0;
+  for (const std::vector<CompiledEdge>& edges : stage_edges) {
+    total += edges.size();
+  }
 
   tgt_offsets_.clear();
   tgt_offsets_.reserve(rows + 1);
   tgt_offsets_.push_back(0);
   tgt_index_.clear();
+  tgt_index_.reserve(total);
   tgt_l_.clear();
+  tgt_l_.reserve(total);
   tgt_o_.clear();
+  tgt_o_.reserve(total);
   tgt_r_.clear();
+  tgt_r_.reserve(total);
   tgt_rma_.clear();
-  src_offsets_.clear();
-  src_offsets_.reserve(rows + 1);
-  src_offsets_.push_back(0);
-  src_index_.clear();
-  src_rma_.clear();
+  tgt_rma_.reserve(total);
+  // Source rows are filled by position (counting sort below), so they
+  // are sized up front rather than appended.
+  src_offsets_.resize(rows + 1);
+  src_offsets_[0] = 0;
+  src_index_.resize(total);
+  src_rma_.resize(total);
   sum_l_.clear();
   sum_l_.reserve(rows);
   max_o_.clear();
   max_o_.reserve(rows);
-  recv_l_.clear();
-  recv_l_.reserve(rows);
+  recv_l_.assign(rows, 0.0);
 
   self_o_.assign(self_overhead.begin(), self_overhead.end());
 
-  // Scratch permutation into (dst, src) order for the source rows.
-  std::vector<std::size_t> by_dst;
   for (std::size_t s = 0; s < stages_; ++s) {
     const std::vector<CompiledEdge>& edges = stage_edges[s];
     // Target rows in the given (src, dst) order — the ascending-target
@@ -162,30 +169,32 @@ void CompiledSchedule::compile_edges(
       max_o_.push_back(max_o);
     }
     OPTIBAR_REQUIRE(k == edges.size(), "stage edges not sorted by src");
-    // Source rows in (dst, src) order — ascending sources per receiver.
-    by_dst.resize(edges.size());
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      by_dst[e] = e;
+    // Source rows: a stable counting sort by dst of the (src, dst)-sorted
+    // edges, which is exactly (dst, src) order — ascending sources per
+    // receiver. offsets[j] first counts row j's sources, then holds the
+    // row's start and advances past each placed source, ending at the
+    // row's end: the finished CSR offsets.
+    std::size_t* offsets = src_offsets_.data() + s * p_ + 1;
+    std::fill(offsets, offsets + p_, std::size_t{0});
+    for (const CompiledEdge& e : edges) {
+      ++offsets[e.dst];
     }
-    std::sort(by_dst.begin(), by_dst.end(),
-              [&edges](std::size_t a, std::size_t b) {
-                return edges[a].dst != edges[b].dst
-                           ? edges[a].dst < edges[b].dst
-                           : edges[a].src < edges[b].src;
-              });
-    std::size_t q = 0;
+    std::size_t start = src_offsets_[s * p_];
     for (std::size_t j = 0; j < p_; ++j) {
-      double recv_l = 0.0;
-      for (; q < by_dst.size() && edges[by_dst[q]].dst == j; ++q) {
-        const CompiledEdge& e = edges[by_dst[q]];
-        src_index_.push_back(e.src);
-        src_rma_.push_back(e.one_sided ? 1 : 0);
-        if (!e.one_sided) {
-          recv_l += e.l;
-        }
+      const std::size_t count = offsets[j];
+      offsets[j] = start;
+      start += count;
+    }
+    double* recv_l = recv_l_.data() + s * p_;
+    for (const CompiledEdge& e : edges) {
+      const std::size_t slot = offsets[e.dst]++;
+      src_index_[slot] = e.src;
+      src_rma_[slot] = e.one_sided ? 1 : 0;
+      // Puts bypass the receiver's CPU; two-sided sources accumulate in
+      // ascending-source order, as the reference does.
+      if (!e.one_sided) {
+        recv_l[e.dst] += e.l;
       }
-      src_offsets_.push_back(src_index_.size());
-      recv_l_.push_back(recv_l);
     }
   }
 }

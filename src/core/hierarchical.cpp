@@ -73,6 +73,8 @@ HierarchicalTuneResult tune_blocked(const TiledProfile& tiled,
   for (std::size_t ci = 0; ci < c; ++ci) {
     leader_ranks[ci] = tiled.clusters()[ci][rep_local[tiled.class_of()[ci]]];
   }
+  // restrict_to() yields a fresh profile, so symmetrized() && averages
+  // it in place instead of copying the C x C matrices again.
   const TopologyProfile leaders =
       tiled.restrict_to(leader_ranks).symmetrized();
   const ClusterNode leader_tree =

@@ -298,13 +298,17 @@ void Communicator::check_rma_word(std::size_t rank, std::size_t word,
 }
 
 std::size_t Communicator::rma_allocate(std::size_t words) {
-  OPTIBAR_REQUIRE(words > 0, "rma_allocate of zero words");
-  // Hold rma_mutex_ across the whole growth so concurrent allocations
-  // serialize and every rank's array reaches the new capacity before
-  // the base index escapes. Lock order: rma_mutex_ then one shard
-  // mutex at a time (RMA data ops take only shard mutexes, so no
-  // reverse order exists).
   std::lock_guard<std::mutex> lock(rma_mutex_);
+  return rma_allocate_locked(words);
+}
+
+std::size_t Communicator::rma_allocate_locked(std::size_t words) {
+  OPTIBAR_REQUIRE(words > 0, "rma_allocate of zero words");
+  // The caller holds rma_mutex_ across the whole growth so concurrent
+  // allocations serialize and every rank's array reaches the new
+  // capacity before the base index escapes. Lock order: rma_mutex_ then
+  // one shard mutex at a time (RMA data ops take only shard mutexes, so
+  // no reverse order exists).
   const std::size_t base = rma_capacity_;
   rma_capacity_ += words;
   for (std::size_t r = 0; r < size_; ++r) {
@@ -315,26 +319,22 @@ std::size_t Communicator::rma_allocate(std::size_t words) {
 }
 
 std::size_t Communicator::rma_region(std::uintptr_t key, std::size_t words) {
-  {
-    std::lock_guard<std::mutex> lock(rma_mutex_);
-    const auto it = rma_regions_.find(key);
-    if (it != rma_regions_.end()) {
-      OPTIBAR_REQUIRE(rma_region_words_[key] == words,
-                      "rma_region key reused with size "
-                          << words << " (was " << rma_region_words_[key]
-                          << ")");
-      return it->second;
-    }
-  }
-  // Allocate outside the memo lock (rma_allocate retakes rma_mutex_);
-  // racing allocators for the same key are resolved first-wins below.
-  const std::size_t base = rma_allocate(words);
+  // Look up and allocate under one hold of rma_mutex_: ranks racing the
+  // first attach of a key find the winner's region instead of each
+  // allocating one that only the first would keep.
   std::lock_guard<std::mutex> lock(rma_mutex_);
-  const auto [it, inserted] = rma_regions_.try_emplace(key, base);
-  if (inserted) {
-    rma_region_words_[key] = words;
+  const auto it = rma_regions_.find(key);
+  if (it != rma_regions_.end()) {
+    OPTIBAR_REQUIRE(rma_region_words_[key] == words,
+                    "rma_region key reused with size "
+                        << words << " (was " << rma_region_words_[key]
+                        << ")");
+    return it->second;
   }
-  return it->second;
+  const std::size_t base = rma_allocate_locked(words);
+  rma_regions_.emplace(key, base);
+  rma_region_words_[key] = words;
+  return base;
 }
 
 std::size_t Communicator::rma_words() const {

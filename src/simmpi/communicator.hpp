@@ -337,6 +337,9 @@ class Communicator {
   void check_rma_word(std::size_t rank, std::size_t word, const char* what)
       const;
 
+  /// rma_allocate's body; the caller holds rma_mutex_.
+  std::size_t rma_allocate_locked(std::size_t words);
+
   std::size_t size_;
   LatencyModel latency_;
   ByteLatencyModel byte_latency_;

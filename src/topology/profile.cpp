@@ -1,11 +1,13 @@
 #include "topology/profile.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -59,34 +61,41 @@ bool TopologyProfile::is_symmetric(double relative_tolerance) const {
   return true;
 }
 
-TopologyProfile TopologyProfile::symmetrized() const {
-  Matrix<double> o = overhead_;
-  Matrix<double> l = latency_;
-  Matrix<double> g = bandwidth_;
-  Matrix<double> r = rma_latency_;
-  for (std::size_t i = 0; i < ranks(); ++i) {
-    for (std::size_t j = i + 1; j < ranks(); ++j) {
-      const double mo = 0.5 * (o(i, j) + o(j, i));
-      const double ml = 0.5 * (l(i, j) + l(j, i));
-      o(i, j) = o(j, i) = mo;
-      l(i, j) = l(j, i) = ml;
-      if (!g.empty()) {
-        const double mg = 0.5 * (g(i, j) + g(j, i));
-        g(i, j) = g(j, i) = mg;
-      }
-      if (!r.empty()) {
-        const double mr = 0.5 * (r(i, j) + r(j, i));
-        r(i, j) = r(j, i) = mr;
+namespace {
+
+/// Replace `m` by its symmetric part, pair by pair: the one averaging
+/// expression both symmetrized() overloads share. Pairs are visited in
+/// square tiles so the column-strided half stays in cache; every pair
+/// is independent, so the order does not change a bit of the result.
+void symmetrize_in_place(Matrix<double>& m) {
+  constexpr std::size_t kTile = 32;
+  const std::size_t n = m.rows();
+  for (std::size_t ib = 0; ib < n; ib += kTile) {
+    const std::size_t i_end = std::min(n, ib + kTile);
+    for (std::size_t jb = ib; jb < n; jb += kTile) {
+      const std::size_t j_end = std::min(n, jb + kTile);
+      for (std::size_t i = ib; i < i_end; ++i) {
+        for (std::size_t j = std::max(jb, i + 1); j < j_end; ++j) {
+          const double mean = 0.5 * (m(i, j) + m(j, i));
+          m(i, j) = m(j, i) = mean;
+        }
       }
     }
   }
-  TopologyProfile result =
-      g.empty() ? TopologyProfile(std::move(o), std::move(l))
-                : TopologyProfile(std::move(o), std::move(l), std::move(g));
-  if (!r.empty()) {
-    result.set_rma_latency(std::move(r));
-  }
-  return result;
+}
+
+}  // namespace
+
+TopologyProfile TopologyProfile::symmetrized() const& {
+  return TopologyProfile(*this).symmetrized();
+}
+
+TopologyProfile TopologyProfile::symmetrized() && {
+  symmetrize_in_place(overhead_);
+  symmetrize_in_place(latency_);
+  symmetrize_in_place(bandwidth_);
+  symmetrize_in_place(rma_latency_);
+  return std::move(*this);
 }
 
 double TopologyProfile::distance(std::size_t i, std::size_t j) const {

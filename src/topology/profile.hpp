@@ -81,7 +81,11 @@ class TopologyProfile {
 
   /// Replace O and L by their symmetric parts (arithmetic mean of the
   /// two directions). Used before clustering, which needs a metric.
-  TopologyProfile symmetrized() const;
+  TopologyProfile symmetrized() const&;
+
+  /// As above on a profile the caller no longer needs: averages in
+  /// place instead of copying every matrix, with identical results.
+  TopologyProfile symmetrized() &&;
 
   /// Metric used for rank clustering (Section VII-A): the symmetrized
   /// one-message cost O(i,j); zero iff i == j for a valid profile.

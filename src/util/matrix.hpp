@@ -15,6 +15,7 @@
 #include <functional>
 #include <initializer_list>
 #include <ostream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -62,17 +63,20 @@ class Matrix {
   bool empty() const { return data_.empty(); }
   bool square() const { return rows_ == cols_; }
 
+  /// Checked element access. The check stays on (see error.hpp); only
+  /// its failure path is out of line, so the accessor itself inlines
+  /// into element loops instead of costing a call per element.
   T& operator()(std::size_t r, std::size_t c) {
-    OPTIBAR_ASSERT(r < rows_ && c < cols_,
-                   "index (" << r << "," << c << ") out of bounds for "
-                             << rows_ << "x" << cols_);
+    if (r >= rows_ || c >= cols_) [[unlikely]] {
+      out_of_bounds(r, c);
+    }
     return data_[r * cols_ + c];
   }
 
   const T& operator()(std::size_t r, std::size_t c) const {
-    OPTIBAR_ASSERT(r < rows_ && c < cols_,
-                   "index (" << r << "," << c << ") out of bounds for "
-                             << rows_ << "x" << cols_);
+    if (r >= rows_ || c >= cols_) [[unlikely]] {
+      out_of_bounds(r, c);
+    }
     return data_[r * cols_ + c];
   }
 
@@ -157,6 +161,16 @@ class Matrix {
   }
 
  private:
+  /// The one failure path of both accessors: throws optibar::Error
+  /// naming the index and the shape.
+  [[noreturn, gnu::cold, gnu::noinline]] void out_of_bounds(
+      std::size_t r, std::size_t c) const {
+    std::ostringstream os;
+    os << "index (" << r << "," << c << ") out of bounds for " << rows_
+       << "x" << cols_;
+    detail::raise(__FILE__, __LINE__, "r < rows_ && c < cols_", os.str());
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<T> data_;

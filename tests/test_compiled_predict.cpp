@@ -9,11 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "barrier/algorithms.hpp"
+#include "barrier/blocked_schedule.hpp"
 #include "barrier/cost_model.hpp"
+#include "core/hierarchical.hpp"
 #include "netsim/engine.hpp"
 #include "support/reference.hpp"
 #include "topology/generate.hpp"
@@ -183,6 +191,143 @@ TEST(CompiledPredict, CompileRebindReusesStorage) {
     compiled.compile(schedule, profile);
     predict_into(compiled, {}, workspace, out);
     expect_identical(out, predict_reference(schedule, profile, {}));
+  }
+}
+
+/// Bitwise equality of doubles: parity here means the same bits, not
+/// values within a tolerance.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <class Span>
+std::vector<typename Span::value_type> as_vector(Span span) {
+  return {span.begin(), span.end()};
+}
+
+/// Field-for-field CSR equality per (rank, stage): targets, sources,
+/// per-edge L/O/R and transport tags, batch cost terms and receiver
+/// row sums.
+void expect_same_csr(const CompiledSchedule& a, const CompiledSchedule& b) {
+  ASSERT_EQ(a.ranks(), b.ranks());
+  ASSERT_EQ(a.stage_count(), b.stage_count());
+  for (std::size_t s = 0; s < a.stage_count(); ++s) {
+    for (std::size_t i = 0; i < a.ranks(); ++i) {
+      SCOPED_TRACE("stage " + std::to_string(s) + ", rank " +
+                   std::to_string(i));
+      EXPECT_EQ(as_vector(a.targets(i, s)), as_vector(b.targets(i, s)));
+      EXPECT_EQ(as_vector(a.sources(i, s)), as_vector(b.sources(i, s)));
+      EXPECT_EQ(as_vector(a.target_one_sided(i, s)),
+                as_vector(b.target_one_sided(i, s)));
+      EXPECT_EQ(as_vector(a.source_one_sided(i, s)),
+                as_vector(b.source_one_sided(i, s)));
+      const auto equal_bits = [](std::span<const double> x,
+                                 std::span<const double> y) {
+        return std::equal(x.begin(), x.end(), y.begin(), y.end(), same_bits);
+      };
+      EXPECT_TRUE(equal_bits(a.target_latency(i, s), b.target_latency(i, s)));
+      EXPECT_TRUE(
+          equal_bits(a.target_overhead(i, s), b.target_overhead(i, s)));
+      EXPECT_TRUE(equal_bits(a.target_rma_latency(i, s),
+                             b.target_rma_latency(i, s)));
+      for (const bool awaited : {false, true}) {
+        EXPECT_TRUE(same_bits(a.batch_cost(i, s, awaited),
+                              b.batch_cost(i, s, awaited)));
+      }
+      EXPECT_TRUE(same_bits(a.recv_processing(i, s), b.recv_processing(i, s)));
+    }
+  }
+}
+
+/// Whether every stage of `plan` enumerates its edges in (src, dst)
+/// order — the case in which compile_blocked skips its sort.
+bool enumerates_sorted(const BlockedSchedule& plan) {
+  for (std::size_t s = 0; s < plan.stage_count(); ++s) {
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    plan.for_each_edge(s, [&](std::size_t src, std::size_t dst) {
+      edges.emplace_back(src, dst);
+    });
+    if (!std::is_sorted(edges.begin(), edges.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(CompiledPredict, BlockedCompileMatchesDenseCompile) {
+  // Both compile paths must build the same CSR: compile_blocked straight
+  // from the blocked plan on the tiled costs, and the dense compile of
+  // the densified plan on the symmetrized dense profile. The block
+  // mapping enumerates in order (sort skipped); round-robin interleaves
+  // the clusters (sort taken).
+  const MachineSpec machine = hex_cluster(3);
+  const std::size_t p = 36;
+  for (const bool interleaved : {false, true}) {
+    SCOPED_TRACE(interleaved ? "round-robin mapping" : "block mapping");
+    const Mapping mapping = interleaved ? round_robin_mapping(machine, p)
+                                        : block_mapping(machine, p);
+    const TopologyProfile profile = generate_profile(machine, mapping);
+    const HierarchicalTuneResult hier = tune_hierarchical(profile);
+    ASSERT_FALSE(hier.used_dense_fallback) << hier.fallback_reason;
+    EXPECT_EQ(enumerates_sorted(hier.blocked), !interleaved);
+
+    CompiledSchedule blocked;
+    compile_blocked(hier.blocked, hier.tiled, blocked);
+    const CompiledSchedule dense(hier.blocked.to_dense(),
+                                 profile.symmetrized());
+    expect_same_csr(blocked, dense);
+  }
+}
+
+TEST(CompiledPredict, CountingSortSourceRowsMatchComparisonSort) {
+  // compile_edges' source rows (a counting sort by dst) against the
+  // comparison-sort reference, over random stages that include empty
+  // stages, ranks with no edges, mixed transports and P = 1.
+  Rng rng(20240607);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t p = trial == 0 ? 1 : 1 + rng.next_below(24);
+    const std::size_t stages = rng.next_below(5);
+    std::vector<std::vector<CompiledEdge>> stage_edges(stages);
+    for (auto& edges : stage_edges) {
+      if (rng.next_below(4) == 0) {
+        continue;  // empty stage
+      }
+      for (std::size_t i = 0; i < p; ++i) {
+        if (rng.next_below(3) == 0) {
+          continue;  // a rank that sends nothing
+        }
+        for (std::size_t j = 0; j < p; ++j) {
+          if (j == i || rng.next_below(4) != 0) {
+            continue;
+          }
+          CompiledEdge e{i, j, rng.uniform(1e-7, 1e-5),
+                         rng.uniform(1e-6, 1e-4)};
+          e.one_sided = rng.next_below(3) == 0;
+          e.r = e.one_sided ? rng.uniform(1e-7, 1e-6) : 0.0;
+          edges.push_back(e);
+        }
+      }
+    }
+    std::vector<double> self(p);
+    for (double& o : self) {
+      o = rng.uniform(1e-7, 2e-6);
+    }
+    CompiledSchedule compiled;
+    compiled.compile_edges(p, stage_edges, self);
+    ASSERT_EQ(compiled.stage_count(), stages);
+    for (std::size_t s = 0; s < stages; ++s) {
+      const ReferenceSourceRows reference =
+          source_rows_reference(p, stage_edges[s]);
+      for (std::size_t j = 0; j < p; ++j) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + ", stage " +
+                     std::to_string(s) + ", rank " + std::to_string(j));
+        EXPECT_EQ(as_vector(compiled.sources(j, s)), reference.sources[j]);
+        EXPECT_EQ(as_vector(compiled.source_one_sided(j, s)),
+                  reference.one_sided[j]);
+        EXPECT_TRUE(same_bits(compiled.recv_processing(j, s),
+                              reference.recv_l[j]));
+      }
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -52,10 +55,48 @@ TEST(Matrix, IdentityHasUnitDiagonal) {
   }
 }
 
+/// The message an out-of-bounds access of `m` at (r, c) throws; empty
+/// when the access does not throw.
+template <class M>
+std::string bounds_message(M& m, std::size_t r, std::size_t c) {
+  try {
+    static_cast<void>(m(r, c));
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+template <class T>
+void expect_checked_access(std::size_t rows, std::size_t cols) {
+  Matrix<T> m(rows, cols);
+  const Matrix<T>& cm = m;
+  const std::string shape =
+      " out of bounds for " + std::to_string(rows) + "x" + std::to_string(cols);
+  const std::pair<std::size_t, std::size_t> outside[] = {
+      {rows, 0}, {0, cols}, {rows, cols}, {rows + 7, cols - 1}};
+  for (const auto& [r, c] : outside) {
+    const std::string expected =
+        "index (" + std::to_string(r) + "," + std::to_string(c) + ")" + shape;
+    const std::string mutable_message = bounds_message(m, r, c);
+    const std::string const_message = bounds_message(cm, r, c);
+    EXPECT_NE(mutable_message.find(expected), std::string::npos)
+        << mutable_message;
+    EXPECT_NE(const_message.find(expected), std::string::npos)
+        << const_message;
+  }
+  // The last in-range element is reachable through both accessors.
+  m(rows - 1, cols - 1) = T{1};
+  EXPECT_EQ(cm(rows - 1, cols - 1), T{1});
+}
+
 TEST(Matrix, OutOfBoundsAccessThrows) {
   Matrix<int> m(2, 2);
   EXPECT_THROW(m(2, 0), Error);
   EXPECT_THROW(m(0, 2), Error);
+  // Const and non-const access on both instantiations the model uses.
+  expect_checked_access<double>(3, 5);
+  expect_checked_access<std::uint8_t>(4, 2);
 }
 
 TEST(Matrix, TransposedSwapsIndices) {

@@ -224,6 +224,29 @@ TEST(RmaExecutor, ExecutorAtAFreedExecutorsAddressStartsClean) {
   }
 }
 
+TEST(RmaExecutor, RacingFirstAttachAllocatesOneRegionPerExecutor) {
+  // 1000 one-sided executors, each running one pooled episode on ONE
+  // communicator: all eight ranks race the executor's first attach, and
+  // exactly one region per executor may come of it. When the winner was
+  // picked after allocating, the losers' regions leaked (~2x growth).
+  const std::size_t p = 8;
+  Schedule schedule = dissemination_barrier(p);
+  tag_all(schedule);
+  Communicator comm(p, zero_latency());
+  simmpi::RankPool pool(p);
+  const std::size_t executors = 1000;
+  std::optional<ScheduleExecutor> executor;
+  for (std::size_t round = 0; round < executors; ++round) {
+    executor.emplace(schedule);
+    simmpi::run_ranks(pool, comm,
+                      [&](RankContext& ctx) { executor->execute(ctx, 0); });
+  }
+  EXPECT_EQ(comm.rma_words(),
+            executors * rma::words_per_rank(schedule.stage_count(), p));
+  EXPECT_EQ(comm.rma_words(), 48000u);
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
 TEST(RmaExecutor, HandleLifecycleOverRmaEdges) {
   // post/test/wait across mixed transports: episode 0 polled to
   // completion with test(), episode 1 parked out with wait().
